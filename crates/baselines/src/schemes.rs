@@ -8,8 +8,8 @@ use crate::naive::{NaiveAuthStore, NaiveError, NaiveResponse};
 use std::sync::Arc;
 use vbx_core::durable::DurableScheme;
 use vbx_core::scheme::{
-    drop_middle_row, inject_duplicate_last, mutate_first_value, update_batch_atomic, AuthScheme,
-    TamperMode, UpdateOp, VerifiedBatch,
+    drop_middle_row, inject_duplicate_last, mutate_first_value, AuthScheme, TamperMode, UpdateOp,
+    VerifiedBatch,
 };
 use vbx_core::vo::{RangeQuery, ResultRow};
 use vbx_core::{CoreError, CostMeter, ResponseFreshness, StoreRestorer, SyncError};
@@ -75,17 +75,6 @@ impl<const L: usize> AuthScheme for NaiveScheme<L> {
                 Ok(Vec::new())
             }
         }
-    }
-
-    /// The per-op loop with the trait's atomicity contract: a failing
-    /// op restores the pre-batch store (see `update_batch_atomic`).
-    fn update_batch(
-        &self,
-        store: &mut NaiveAuthStore<L>,
-        ops: &[UpdateOp],
-        signer: &dyn Signer,
-    ) -> Result<Vec<Self::Delta>, NaiveError> {
-        update_batch_atomic(self, store, ops, signer)
     }
 
     fn apply_delta(
@@ -326,17 +315,6 @@ impl AuthScheme for MerkleScheme {
             }
         }
         Ok(store.sign_root(signer))
-    }
-
-    /// The per-op loop with the trait's atomicity contract: a failing
-    /// op restores the pre-batch store (see `update_batch_atomic`).
-    fn update_batch(
-        &self,
-        store: &mut MerkleAuthStore,
-        ops: &[UpdateOp],
-        signer: &dyn Signer,
-    ) -> Result<Vec<Self::Delta>, MerkleError> {
-        update_batch_atomic(self, store, ops, signer)
     }
 
     fn apply_delta(

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! record := "VBW1" kind:u8 clock:u64 body
-//! kind 0 (commit op)    := stamp? seq:u64 table key_version:u32 op payload
+//! (kind 0, the retired single-op record, is rejected as unknown)
 //! kind 1 (commit batch) := start_seq:u64 table key_version:u32
 //!                          n_ops:u32 op* n_payloads:u32 payload* stamp?
 //! kind 2 (heartbeat)    := stamp?
@@ -31,7 +31,7 @@
 //! and bad tags all surface as [`CoreError::Wire`] (fuzzed in
 //! `tests/wire_fuzz.rs`).
 
-use crate::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, VbScheme};
+use crate::scheme::{AuthScheme, DeltaBatch, TxnBatch, VbScheme};
 use crate::tree_codec;
 use crate::verify::FreshnessStamp;
 use crate::wire;
@@ -41,7 +41,6 @@ use vbx_crypto::accum::SignedDigest;
 
 const MAGIC: &[u8; 4] = b"VBW1";
 
-const KIND_COMMIT_OP: u8 = 0;
 const KIND_COMMIT_BATCH: u8 = 1;
 const KIND_HEARTBEAT: u8 = 2;
 const KIND_COMMIT_TXN: u8 = 3;
@@ -49,7 +48,8 @@ const KIND_COMMIT_TXN: u8 = 3;
 /// A scheme whose store and delta payloads have byte encodings, making
 /// the central recoverable: checkpoints persist `encode_store`, WAL
 /// records persist `encode_delta`, and recovery replays the decoded
-/// payloads through `AuthScheme::apply_delta` to byte-identical state.
+/// payloads through `AuthScheme::apply_delta_batch` to byte-identical
+/// state.
 pub trait DurableScheme: AuthScheme {
     /// Serialise a store (tree/table + signed digests) for a checkpoint.
     fn encode_store(&self, store: &Self::Store) -> Vec<u8>;
@@ -131,16 +131,6 @@ pub fn decode_digest_vec<const L: usize>(
 
 /// One decoded WAL record.
 pub enum WalRecord<S: AuthScheme> {
-    /// A single committed op, with the owner clock at commit time and
-    /// the per-commit stamp (present only in cluster/stamping mode).
-    CommitOp {
-        /// Owner logical clock when the op committed.
-        clock: u64,
-        /// Per-commit freshness stamp, if stamping was enabled.
-        stamp: Option<FreshnessStamp>,
-        /// The signed delta as fanned out to edges.
-        delta: SignedDelta<S::Delta>,
-    },
     /// A whole group-committed batch (one record, one fsync — the
     /// durability analogue of the batched signing sweep).
     CommitBatch {
@@ -173,8 +163,7 @@ impl<S: AuthScheme> WalRecord<S> {
     /// The owner clock carried by this record.
     pub fn clock(&self) -> u64 {
         match self {
-            WalRecord::CommitOp { clock, .. }
-            | WalRecord::CommitBatch { clock, .. }
+            WalRecord::CommitBatch { clock, .. }
             | WalRecord::Heartbeat { clock, .. }
             | WalRecord::CommitTxn { clock, .. } => *clock,
         }
@@ -219,26 +208,6 @@ fn get_payload<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CoreError> {
     let payload = &buf[..len];
     buf.advance(len);
     Ok(payload)
-}
-
-/// Encode a single-op commit record.
-pub fn encode_wal_commit_op<S: DurableScheme>(
-    scheme: &S,
-    clock: u64,
-    stamp: Option<&FreshnessStamp>,
-    delta: &SignedDelta<S::Delta>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(MAGIC);
-    out.push(KIND_COMMIT_OP);
-    out.put_u64(clock);
-    wire::put_stamp(&mut out, stamp);
-    out.put_u64(delta.seq);
-    put_str(&mut out, &delta.table);
-    out.put_u32(delta.key_version);
-    wire::put_update_op(&mut out, &delta.op);
-    put_payload(&mut out, &scheme.encode_delta(&delta.payload));
-    out
 }
 
 /// Encode one batch section (everything in a batch record except the
@@ -362,31 +331,6 @@ pub fn decode_wal_record<S: DurableScheme>(
     let kind = buf.get_u8();
     let clock = buf.get_u64();
     let record = match kind {
-        KIND_COMMIT_OP => {
-            let stamp = wire::get_stamp(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(corrupt("commit seq truncated"));
-            }
-            let seq = buf.get_u64();
-            let table = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(corrupt("commit key version truncated"));
-            }
-            let key_version = buf.get_u32();
-            let op = wire::get_update_op(&mut buf)?;
-            let payload = scheme.decode_delta(get_payload(&mut buf)?)?;
-            WalRecord::CommitOp {
-                clock,
-                stamp,
-                delta: SignedDelta {
-                    seq,
-                    table,
-                    op,
-                    payload,
-                    key_version,
-                },
-            }
-        }
         KIND_COMMIT_BATCH => {
             let mut batch = get_batch_section(scheme, &mut buf)?;
             batch.stamp = wire::get_stamp(&mut buf)?;
@@ -449,46 +393,6 @@ mod tests {
 
     fn sample_stamp(signer: &dyn Signer) -> FreshnessStamp {
         FreshnessStamp::sign(signer, 7, 42)
-    }
-
-    #[test]
-    fn commit_op_roundtrip() {
-        let s = scheme();
-        let signer = MockSigner::new(7);
-        let table = WorkloadSpec::new(20, 2, 8).build();
-        let mut store = s.build(&table, &signer);
-        let tuple = Tuple::new(
-            table.schema(),
-            500,
-            vec![Value::from("new-a"), Value::from(2i64)],
-        )
-        .unwrap();
-        let op = UpdateOp::Insert(tuple);
-        let payload = s.update(&mut store, &op, &signer).unwrap();
-        let delta = SignedDelta {
-            seq: 9,
-            table: "t".to_string(),
-            op,
-            payload,
-            key_version: 3,
-        };
-        let stamp = sample_stamp(&signer);
-        let bytes = encode_wal_commit_op(&s, 11, Some(&stamp), &delta);
-        match decode_wal_record(&s, &bytes).unwrap() {
-            WalRecord::CommitOp {
-                clock,
-                stamp: got_stamp,
-                delta: got,
-            } => {
-                assert_eq!(clock, 11);
-                assert_eq!(got_stamp.unwrap(), stamp);
-                assert_eq!(got.seq, 9);
-                assert_eq!(got.table, "t");
-                assert_eq!(got.key_version, 3);
-                assert_eq!(s.encode_delta(&got.payload), s.encode_delta(&delta.payload));
-            }
-            _ => panic!("wrong record kind"),
-        }
     }
 
     #[test]

@@ -55,15 +55,14 @@ pub mod wire;
 
 pub use chunks::{StoreRestorer, SyncError, TreeChunks, DEFAULT_LEAVES_PER_CHUNK};
 pub use durable::{
-    decode_wal_record, encode_wal_commit_batch, encode_wal_commit_op, encode_wal_commit_txn,
-    encode_wal_heartbeat, DurableScheme, WalRecord,
+    decode_wal_record, encode_wal_commit_batch, encode_wal_commit_txn, encode_wal_heartbeat,
+    DurableScheme, WalRecord,
 };
 pub use frame::{ErrorCode, Frame, FrameBuffer, FrameKind, NetMsg, MAX_FRAME_LEN};
 pub use meter::CostMeter;
 pub use restore::Restorer;
 pub use scheme::{
-    AuthScheme, DeltaBatch, SignedDelta, TamperMode, TxnBatch, UpdateOp, VbScheme, VbSchemeError,
-    VerifiedBatch,
+    AuthScheme, DeltaBatch, TamperMode, TxnBatch, UpdateOp, VbScheme, VbSchemeError, VerifiedBatch,
 };
 pub use source::{Capture, DigestSource, ReplaySource, SigningSource};
 pub use tree::{
@@ -80,9 +79,9 @@ pub use vo::{
 };
 pub use wire::{
     compact_response_bytes, decode_compact_response, decode_delta_batch, decode_response,
-    decode_signed_delta, decode_txn_batch, encode_compact_prefix, encode_compact_response,
-    encode_delta_batch, encode_response, encode_signed_delta, encode_txn_batch, measure_compact,
-    measure_response, CompactStream, ResponseSize, StreamOp, StreamPartHeader,
+    decode_txn_batch, encode_compact_prefix, encode_compact_response, encode_delta_batch,
+    encode_response, encode_txn_batch, measure_compact, measure_response, CompactStream,
+    ResponseSize, StreamOp, StreamPartHeader,
 };
 
 /// Errors from tree operations and the wire format.

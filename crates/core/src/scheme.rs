@@ -43,7 +43,7 @@ use vbx_crypto::{SigVerifier, Signer};
 use vbx_storage::{Schema, Table, Tuple, Value};
 
 /// One update operation, scheme-neutral (shipped inside a
-/// [`SignedDelta`]).
+/// [`DeltaBatch`]).
 #[derive(Clone, Debug)]
 pub enum UpdateOp {
     /// Insert a tuple.
@@ -79,27 +79,10 @@ pub enum TamperMode {
     },
 }
 
-/// A signed update delta: the operation, the scheme-specific
-/// authentication payload replicas replay, and the envelope metadata.
-#[derive(Clone, Debug)]
-pub struct SignedDelta<P> {
-    /// Sequence number (contiguous per central server).
-    pub seq: u64,
-    /// Table the update applies to.
-    pub table: String,
-    /// The operation.
-    pub op: UpdateOp,
-    /// Scheme-specific signed material (e.g. pre-signed digests for the
-    /// VB-tree, the new signed root for a Merkle tree).
-    pub payload: P,
-    /// Key version the payload was signed under.
-    pub key_version: u32,
-}
-
 /// A group-committed batch of update operations: `k` ops travelling
 /// under **one** envelope, with **one** optional owner freshness stamp
-/// attesting the batch's end position — the write-pipeline counterpart
-/// of [`SignedDelta`].
+/// attesting the batch's end position. A single update is a batch of
+/// one.
 ///
 /// The ops occupy the contiguous sequence range `[start_seq,
 /// end_seq())`. `payloads` is scheme-defined: the per-op default packs
@@ -236,14 +219,17 @@ pub trait AuthScheme {
     const NAME: &'static str;
 
     /// The authenticated server-side store (tree/table + digests).
-    type Store: 'static;
+    /// `Clone` because every writer builds successors off to the side:
+    /// edges swap in a replayed copy, and a failed batch or txn restores
+    /// a pre-commit copy.
+    type Store: Clone + 'static;
     /// A query answer as shipped from edge server to client.
     type Response: Clone;
     /// The detachable verification object / proof part of a response.
     type Vo;
     /// Verification and replication failures.
     type Error: std::error::Error + 'static;
-    /// Scheme-specific payload of a [`SignedDelta`].
+    /// Scheme-specific payload of a [`DeltaBatch`].
     type Delta: Clone;
 
     /// Trusted: build and sign the store over a table.
@@ -282,21 +268,25 @@ pub trait AuthScheme {
     /// **Atomicity contract:** on `Err`, the store must be unchanged —
     /// the central server commits a batch all-or-nothing and logs
     /// nothing on failure, so a half-applied store would silently
-    /// diverge from the catalog and every replica. The *default* loop
-    /// stops at the first error and cannot roll back (it knows nothing
-    /// about `Self::Store`); schemes whose store is `Clone` get the
-    /// contract by overriding with [`update_batch_atomic`] (as the
-    /// Naive/Merkle baselines do), and the VB-tree's deferred-sweep
-    /// override restores a pre-batch backup itself.
+    /// diverge from the catalog and every replica. The default
+    /// snapshots the store and restores it on the first failing op;
+    /// the VB-tree's deferred-sweep override restores a pre-batch
+    /// backup itself.
     fn update_batch(
         &self,
         store: &mut Self::Store,
         ops: &[UpdateOp],
         signer: &dyn Signer,
     ) -> Result<Vec<Self::Delta>, Self::Error> {
-        ops.iter()
+        let backup = store.clone();
+        let payloads: Result<Vec<_>, _> = ops
+            .iter()
             .map(|op| self.update(store, op, signer))
-            .collect()
+            .collect();
+        if payloads.is_err() {
+            *store = backup;
+        }
+        payloads
     }
 
     /// Untrusted: replay a batch produced by
@@ -438,34 +428,6 @@ pub trait AuthScheme {
         }
         Box::new(Unsupported(Self::NAME, std::marker::PhantomData))
     }
-}
-
-/// The per-op batch loop with the [`AuthScheme::update_batch`]
-/// atomicity contract bolted on: snapshot the store, apply each op
-/// through [`AuthScheme::update`], restore the snapshot on the first
-/// failure. The override of choice for schemes without a batch fast
-/// path whose store is `Clone` (the Naive and Merkle baselines).
-pub fn update_batch_atomic<S: AuthScheme>(
-    scheme: &S,
-    store: &mut S::Store,
-    ops: &[UpdateOp],
-    signer: &dyn Signer,
-) -> Result<Vec<S::Delta>, S::Error>
-where
-    S::Store: Clone,
-{
-    let backup = store.clone();
-    let mut payloads = Vec::with_capacity(ops.len());
-    for op in ops {
-        match scheme.update(store, op, signer) {
-            Ok(p) => payloads.push(p),
-            Err(e) => {
-                *store = backup;
-                return Err(e);
-            }
-        }
-    }
-    Ok(payloads)
 }
 
 /// Corrupt the first value of a row in place (shared by schemes'

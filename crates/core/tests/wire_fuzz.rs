@@ -7,10 +7,10 @@
 use vbx_core::{
     check_freshness, decode_compact_response, decode_delta_batch, decode_response,
     decode_wal_record, encode_compact_response, encode_delta_batch, encode_response,
-    encode_wal_commit_batch, encode_wal_commit_op, encode_wal_heartbeat, execute, execute_compact,
+    encode_wal_commit_batch, encode_wal_commit_txn, encode_wal_heartbeat, execute, execute_compact,
     AuthScheme, ClientVerifier, CompactPart, CompactResponse, CostMeter, DeltaBatch,
-    FreshnessPolicy, FreshnessStamp, RangeQuery, ResponseFreshness, SignedDelta, UpdateOp,
-    VbScheme, VbTree, VbTreeConfig, VerifyError, VoOp, MAX_VO_STACK,
+    FreshnessPolicy, FreshnessStamp, RangeQuery, ResponseFreshness, TxnBatch, UpdateOp, VbScheme,
+    VbTree, VbTreeConfig, VerifyError, VoOp, MAX_VO_STACK,
 };
 use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::Acc256;
@@ -545,17 +545,20 @@ fn wal_records() -> (Fixture, WalPayloads) {
         .unwrap()
     };
 
-    let op = UpdateOp::Insert(tuple(700));
-    let payload = scheme.update(&mut tree, &op, &f.signer).unwrap();
-    let delta = SignedDelta {
-        seq: 4,
-        table: "t".to_string(),
-        op,
-        payload,
-        key_version: f.signer.key_version(),
+    let ops = vec![UpdateOp::Insert(tuple(700))];
+    let payloads = scheme.update_batch(&mut tree, &ops, &f.signer).unwrap();
+    let txn = TxnBatch {
+        sections: vec![DeltaBatch {
+            start_seq: 4,
+            table: "t".to_string(),
+            ops,
+            payloads,
+            key_version: f.signer.key_version(),
+            stamp: None,
+        }],
+        stamp: Some(FreshnessStamp::sign(&f.signer, 5, 11)),
     };
-    let stamp = FreshnessStamp::sign(&f.signer, 5, 11);
-    let commit_op = encode_wal_commit_op(&scheme, 11, Some(&stamp), &delta);
+    let commit_txn = encode_wal_commit_txn(&scheme, 11, &txn);
 
     let ops = vec![UpdateOp::Insert(tuple(701)), UpdateOp::Delete(3)];
     let payloads = scheme.update_batch(&mut tree, &ops, &f.signer).unwrap();
@@ -571,7 +574,7 @@ fn wal_records() -> (Fixture, WalPayloads) {
 
     let heartbeat = encode_wal_heartbeat(13, &FreshnessStamp::sign(&f.signer, 7, 13));
 
-    (f, vec![commit_op, commit_batch, heartbeat])
+    (f, vec![commit_txn, commit_batch, heartbeat])
 }
 
 #[test]
@@ -758,7 +761,6 @@ fn frame_zoo() -> Vec<(NetMsg, Vec<u8>)> {
         NetMsg::QueryResp(stamped_bytes(&f, &RangeQuery::select_all(0, 5)).1),
         NetMsg::CompactResp(compact_fixture(&f, &RangeQuery::select_all(0, 5)).1),
         NetMsg::BundleResp(vec![0xAB; 97]),
-        NetMsg::DeltaOp(vec![1, 2, 3]),
         NetMsg::DeltaBatch(batch_fixture().3),
         NetMsg::DeltaTxn(vec![4, 5, 6, 7]),
         NetMsg::SkipRange {

@@ -3,18 +3,20 @@
 //! Owns the master database, the private signing key, and the
 //! authoritative authenticated stores (VB-trees, Naive digest tables, or
 //! Merkle trees — anything implementing
-//! [`AuthScheme`](vbx_core::scheme::AuthScheme)). Executes update
-//! transactions under the Section 3.4 locking protocol, records **signed
-//! update deltas** for edge replicas (which cannot sign anything
-//! themselves), refreshes materialised join views, and manages key
-//! rotation with validity windows for the delayed-propagation mode.
+//! [`AuthScheme`](vbx_core::scheme::AuthScheme)). Every write — a single
+//! op, a group-committed batch, a multi-table transaction — goes through
+//! one commit routine that records **signed update deltas** for edge
+//! replicas (which cannot sign anything themselves), refreshes
+//! materialised join views, and manages key rotation with validity
+//! windows for the delayed-propagation mode. The central is the single
+//! writer (`&mut self`), so it takes no locks; the Section 3.4 protocol
+//! runs at the edges, where readers race the replayed writes.
 
-use crate::locks::{LockManager, LockMode};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp, VbScheme};
+use vbx_core::scheme::{AuthScheme, DeltaBatch, TxnBatch, UpdateOp, VbScheme};
 use vbx_core::{CoreError, FreshnessStamp, VbTree, VbTreeConfig};
-use vbx_crypto::accum::{Accumulator, SignedDigest};
+use vbx_crypto::accum::Accumulator;
 use vbx_crypto::{KeyRegistry, Signer};
 use vbx_query::{build_view_table, JoinViewDef};
 use vbx_storage::{Catalog, StorageError, Table, Tuple};
@@ -61,15 +63,13 @@ impl core::fmt::Display for DeltaLogError {
 
 impl std::error::Error for DeltaLogError {}
 
-/// One retained unit of the signed-delta log: a single-op
-/// [`SignedDelta`], a group-committed [`DeltaBatch`] occupying a whole
-/// sequence *range*, or an atomic multi-table [`TxnBatch`]. Batches and
-/// txns are shared out as `Arc`s so fanning one out to N subscribers
-/// clones a pointer, not `k` ops and payloads.
+/// One retained unit of the signed-delta log: a group-committed
+/// [`DeltaBatch`] occupying a whole sequence *range* (a single op is a
+/// batch of one), or an atomic multi-table [`TxnBatch`]. Both are shared
+/// out as `Arc`s so fanning one out to N subscribers clones a pointer,
+/// not `k` ops and payloads.
 #[derive(Clone, Debug)]
 pub enum LogEntry<P> {
-    /// One update op under its own signed payload.
-    Op(SignedDelta<P>),
     /// `k` ops group-committed under one payload stream + stamp.
     Batch(Arc<DeltaBatch<P>>),
     /// An atomic multi-table transaction: its sections were committed
@@ -79,51 +79,51 @@ pub enum LogEntry<P> {
 }
 
 impl<P> LogEntry<P> {
+    /// The entry's per-table sections in commit order: a batch is its
+    /// own single section.
+    pub fn sections(&self) -> &[DeltaBatch<P>] {
+        match self {
+            LogEntry::Batch(b) => core::slice::from_ref(b.as_ref()),
+            LogEntry::Txn(t) => &t.sections,
+        }
+    }
+
+    /// The owner stamp attesting the entry's end position, if stamped.
+    pub fn stamp(&self) -> Option<&FreshnessStamp> {
+        match self {
+            LogEntry::Batch(b) => b.stamp.as_ref(),
+            LogEntry::Txn(t) => t.stamp.as_ref(),
+        }
+    }
+
     /// First sequence number the entry covers.
     pub fn start_seq(&self) -> u64 {
-        match self {
-            LogEntry::Op(d) => d.seq,
-            LogEntry::Batch(b) => b.start_seq,
-            LogEntry::Txn(t) => t.start_seq(),
-        }
+        self.sections()[0].start_seq
     }
 
     /// One past the last sequence number the entry covers.
     pub fn end_seq(&self) -> u64 {
-        match self {
-            LogEntry::Op(d) => d.seq + 1,
-            LogEntry::Batch(b) => b.end_seq(),
-            LogEntry::Txn(t) => t.end_seq(),
-        }
+        self.start_seq() + self.ops() as u64
     }
 
     /// Number of update ops the entry carries.
     pub fn ops(&self) -> usize {
-        match self {
-            LogEntry::Op(_) => 1,
-            LogEntry::Batch(b) => b.len(),
-            LogEntry::Txn(t) => t.ops() as usize,
-        }
+        self.sections().iter().map(DeltaBatch::len).sum()
     }
 
     /// Table the entry's ops apply to; `None` for a multi-table txn
     /// (use [`tables`](Self::tables)).
     pub fn table(&self) -> Option<&str> {
         match self {
-            LogEntry::Op(d) => Some(&d.table),
             LogEntry::Batch(b) => Some(&b.table),
             LogEntry::Txn(_) => None,
         }
     }
 
-    /// Every table the entry touches: one for `Op`/`Batch`, each
-    /// section's table (in commit order, repeats possible) for a `Txn`.
-    pub fn tables(&self) -> Box<dyn Iterator<Item = &str> + '_> {
-        match self {
-            LogEntry::Op(d) => Box::new(core::iter::once(d.table.as_str())),
-            LogEntry::Batch(b) => Box::new(core::iter::once(b.table.as_str())),
-            LogEntry::Txn(t) => Box::new(t.tables()),
-        }
+    /// Every table the entry touches: one for a `Batch`, each section's
+    /// table (in commit order, repeats possible) for a `Txn`.
+    pub fn tables(&self) -> impl Iterator<Item = &str> {
+        self.sections().iter().map(|s| s.table.as_str())
     }
 }
 
@@ -135,8 +135,8 @@ impl<P> LogEntry<P> {
 /// log now retains only the newest `retention` *ops* (older entries are
 /// evicted — a subscriber that far behind re-bundles instead), and
 /// [`since`](Self::since) hands out a borrowing iterator so pollers
-/// clone exactly the entries they still need. Since PR 5 an entry is a
-/// [`LogEntry`] — a single op or a whole group-committed batch — and
+/// clone exactly the entries they still need. An entry is a
+/// [`LogEntry`] — a group-committed batch or a multi-table txn — and
 /// cursors work on the underlying *sequence numbers*, so a batch of `k`
 /// ops advances a subscriber's cursor by `k` in one hop.
 #[derive(Clone, Debug)]
@@ -185,22 +185,6 @@ impl<P: Clone> DeltaLog<P> {
         self.entries.is_empty()
     }
 
-    /// Append the next single-op delta, evicting past the retention
-    /// window. Rejects any `delta.seq` that is not exactly
-    /// [`next_seq`](Self::next_seq) — the log is the authoritative
-    /// contiguous history, and silently accepting a gap would poison
-    /// every cursor and recovery replay downstream.
-    pub fn push(&mut self, delta: SignedDelta<P>) -> Result<(), DeltaLogError> {
-        if delta.seq != self.next_seq() {
-            return Err(DeltaLogError::NonContiguous {
-                expected: self.next_seq(),
-                got: delta.seq,
-            });
-        }
-        self.push_entry(LogEntry::Op(delta));
-        Ok(())
-    }
-
     /// Append a group-committed batch covering `[start_seq, end_seq())`,
     /// evicting past the retention window. Returns the shared handle
     /// also kept in the log (for immediate fan-out without a re-read).
@@ -210,17 +194,8 @@ impl<P: Clone> DeltaLog<P> {
         &mut self,
         batch: DeltaBatch<P>,
     ) -> Result<Arc<DeltaBatch<P>>, DeltaLogError> {
-        if batch.is_empty() {
-            return Err(DeltaLogError::EmptyBatch);
-        }
-        if batch.start_seq != self.next_seq() {
-            return Err(DeltaLogError::NonContiguous {
-                expected: self.next_seq(),
-                got: batch.start_seq,
-            });
-        }
         let shared = Arc::new(batch);
-        self.push_entry(LogEntry::Batch(shared.clone()));
+        self.append(LogEntry::Batch(shared.clone()))?;
         Ok(shared)
     }
 
@@ -232,11 +207,23 @@ impl<P: Clone> DeltaLog<P> {
     /// that does not start exactly at [`next_seq`](Self::next_seq) and
     /// stay gap-free section to section.
     pub fn push_txn(&mut self, txn: TxnBatch<P>) -> Result<Arc<TxnBatch<P>>, DeltaLogError> {
-        if txn.sections.is_empty() || txn.sections.iter().any(|s| s.is_empty()) {
+        let shared = Arc::new(txn);
+        self.append(LogEntry::Txn(shared.clone()))?;
+        Ok(shared)
+    }
+
+    /// Append any entry after checking that it is non-empty and its
+    /// sections chain gap-free from [`next_seq`](Self::next_seq) — the
+    /// log is the authoritative contiguous history, and silently
+    /// accepting a gap would poison every cursor and recovery replay
+    /// downstream.
+    pub(crate) fn append(&mut self, entry: LogEntry<P>) -> Result<(), DeltaLogError> {
+        let sections = entry.sections();
+        if sections.is_empty() || sections.iter().any(DeltaBatch::is_empty) {
             return Err(DeltaLogError::EmptyBatch);
         }
         let mut next = self.next_seq();
-        for section in &txn.sections {
+        for section in sections {
             if section.start_seq != next {
                 return Err(DeltaLogError::NonContiguous {
                     expected: next,
@@ -245,9 +232,17 @@ impl<P: Clone> DeltaLog<P> {
             }
             next = section.end_seq();
         }
-        let shared = Arc::new(txn);
-        self.push_entry(LogEntry::Txn(shared.clone()));
-        Ok(shared)
+        self.retained_ops += entry.ops();
+        self.entries.push_back(entry);
+        // Evict whole entries (a batch leaves as the unit it arrived
+        // as), always keeping the newest entry even if it alone exceeds
+        // the window.
+        while self.retained_ops > self.retention && self.entries.len() > 1 {
+            let evicted = self.entries.pop_front().expect("len > 1");
+            self.retained_ops -= evicted.ops();
+            self.start_seq = evicted.end_seq();
+        }
+        Ok(())
     }
 
     /// Rebuild a log from checkpointed parts (durability recovery).
@@ -273,19 +268,6 @@ impl<P: Clone> DeltaLog<P> {
     /// Every retained entry in seq order (checkpoints persist these).
     pub fn entries(&self) -> impl Iterator<Item = &LogEntry<P>> {
         self.entries.iter()
-    }
-
-    fn push_entry(&mut self, entry: LogEntry<P>) {
-        self.retained_ops += entry.ops();
-        self.entries.push_back(entry);
-        // Evict whole entries (a batch leaves as the unit it arrived
-        // as), always keeping the newest entry even if it alone exceeds
-        // the window.
-        while self.retained_ops > self.retention && self.entries.len() > 1 {
-            let evicted = self.entries.pop_front().expect("len > 1");
-            self.retained_ops -= evicted.ops();
-            self.start_seq = evicted.end_seq();
-        }
     }
 
     /// Borrowing iterator over every retained entry covering any `seq >=
@@ -319,10 +301,6 @@ impl<P: Clone> DeltaLog<P> {
         Ok(self.since(cursor)?.cloned().collect())
     }
 }
-
-/// A VB-tree update delta, as shipped to edge servers (compatibility
-/// alias for the generic [`SignedDelta`] envelope).
-pub type UpdateDelta<const L: usize> = SignedDelta<Vec<SignedDigest<L>>>;
 
 /// Initial distribution bundle for a new edge server: full replicas of
 /// every tree (base tables and views). VB-tree specific — the wire
@@ -495,44 +473,14 @@ impl Default for GroupCommitConfig {
 /// [`DeltaLog`], ready for immediate fan-out or edge replay).
 pub type CommittedBatches<S> = Vec<Arc<DeltaBatch<<S as AuthScheme>::Delta>>>;
 
-/// A group-commit flush that stopped early, carrying everything the
-/// caller must not lose: the batches runs *before* the failure already
-/// committed — they are in the [`DeltaLog`] and must still be applied /
-/// fanned out as usual — plus the failing run's error. Runs not yet
-/// attempted went back into the queue; the failing run's own ops are
-/// dropped with the error, exactly like a failed single-op commit.
-pub struct FlushError<S: AuthScheme> {
-    /// Batches committed by this flush before the failure.
-    pub committed: CommittedBatches<S>,
-    /// The failing run's error.
-    pub error: CentralError<S::Error>,
-}
-
-impl<S: AuthScheme> core::fmt::Debug for FlushError<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FlushError")
-            .field("committed", &self.committed.len())
-            .field("error", &self.error)
-            .finish()
-    }
-}
-
-impl<S: AuthScheme> core::fmt::Display for FlushError<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "group-commit flush failed after committing {} batch(es): {}",
-            self.committed.len(),
-            self.error
-        )
-    }
-}
-
-impl<S: AuthScheme> std::error::Error for FlushError<S> {}
+/// A committed batch (a shared handle into the [`DeltaLog`]) or the
+/// reason nothing committed.
+pub type Committed<S> =
+    Result<Arc<DeltaBatch<<S as AuthScheme>::Delta>>, CentralError<<S as AuthScheme>::Error>>;
 
 /// A staged multi-table update transaction (see
 /// [`CentralServer::begin_txn`]). Ops buffer in arrival order; nothing
-/// locks, signs, logs, or hits the WAL until
+/// signs, logs, or hits the WAL until
 /// [`CentralServer::commit_txn`] — staging is free, and a dropped `Txn`
 /// simply never happened.
 #[derive(Clone, Debug, Default)]
@@ -558,13 +506,13 @@ impl Txn {
     }
 }
 
-/// What one group-commit flush committed: per-table batches through the
-/// legacy single-table path, or — when the pending queue spanned more
-/// than one table — a single atomic [`TxnBatch`] through
-/// [`CentralServer::commit_txn`], which cannot partially flush.
+/// What one group-commit flush committed: one [`DeltaBatch`] when the
+/// pending queue named a single table, or one atomic [`TxnBatch`]
+/// through [`CentralServer::commit_txn`] when it spanned several.
+/// Either way a flush commits all-or-nothing.
 pub enum Flushed<S: AuthScheme> {
-    /// Batches committed by the legacy per-table path (the pending
-    /// queue held at most one table).
+    /// The batch committed for a single-table queue (empty when the
+    /// call committed nothing).
     Batches(CommittedBatches<S>),
     /// One atomic multi-table transaction covering every pending run.
     Txn(Arc<TxnBatch<S::Delta>>),
@@ -587,8 +535,7 @@ impl<S: AuthScheme> Flushed<S> {
         }
     }
 
-    /// The committed per-table batches, when this flush stayed on the
-    /// legacy single-table path.
+    /// The committed batch, when the pending queue named one table.
     pub fn batches(&self) -> Option<&CommittedBatches<S>> {
         match self {
             Flushed::Batches(batches) => Some(batches),
@@ -629,7 +576,6 @@ pub struct CentralServer<S: AuthScheme> {
     pub(crate) catalog: Catalog,
     pub(crate) stores: BTreeMap<String, S::Store>,
     pub(crate) views: Vec<JoinViewDef>,
-    pub(crate) locks: LockManager,
     pub(crate) log: DeltaLog<S::Delta>,
     /// Owner stamps per attested seq, pruned to the log's retention
     /// window and capped at [`STAMP_RETENTION`] (the newest stamp is
@@ -670,7 +616,6 @@ impl<S: AuthScheme> CentralServer<S> {
             catalog: Catalog::new(),
             stores: BTreeMap::new(),
             views: Vec::new(),
-            locks: LockManager::new(),
             log: DeltaLog::unbounded(),
             stamps,
             stamp_commits: false,
@@ -727,11 +672,6 @@ impl<S: AuthScheme> CentralServer<S> {
         self.clock
     }
 
-    /// Lock statistics (tests).
-    pub fn lock_stats(&self) -> crate::locks::LockStats {
-        self.locks.stats()
-    }
-
     /// Register a base table: builds and signs its authenticated store.
     /// With durability enabled this is DDL and forces a checkpoint (the
     /// WAL carries only update deltas, so schema changes must land in a
@@ -743,16 +683,25 @@ impl<S: AuthScheme> CentralServer<S> {
         self.durability_mark_ddl();
     }
 
-    /// Drop a base table from the catalog and discard its store.
-    /// Returns `false` when no such table exists. DDL, like
-    /// [`create_table`](Self::create_table): forces a checkpoint so the
-    /// drop lands in a durable snapshot. Edges that still hold an
+    /// Drop a base table from the catalog and discard its store, along
+    /// with every join view that reads it (definition and store — a
+    /// view over a missing table could never refresh again). Returns
+    /// `false` when no such table exists. DDL, like
+    /// [`create_table`](Self::create_table): forces one checkpoint so
+    /// the drop lands in a durable snapshot. Edges that still hold an
     /// assignment for the table discover the drop on their next
     /// (re)subscription and remove the stale replica.
     pub fn drop_table(&mut self, name: &str) -> bool {
         let existed = self.catalog.remove(name).is_some();
         self.stores.remove(name);
         if existed {
+            self.views.retain(|def| {
+                let reads = def.left_table == name || def.right_table == name;
+                if reads {
+                    self.stores.remove(&def.name);
+                }
+                !reads
+            });
             self.durability_mark_ddl();
         }
         existed
@@ -803,7 +752,7 @@ impl<S: AuthScheme> CentralServer<S> {
     }
 
     /// Log entries after `seq` (edge servers pull these to catch up —
-    /// single-op deltas and group-committed batches alike). A `seq`
+    /// batches and txns alike). A `seq`
     /// beyond the log — a replica ahead of this server, e.g. restored
     /// from a newer snapshot — yields an empty batch rather than
     /// panicking the trusted side on untrusted input. A `seq` before
@@ -857,14 +806,10 @@ impl<S: AuthScheme> CentralServer<S> {
     /// to keep happening — commits any run whose oldest op has waited
     /// past `commit_interval`. A failing flush follows
     /// [`flush_group_commit`](Self::flush_group_commit)'s documented
-    /// semantics (the failing ops are dropped; anything committed is in
-    /// the delta log for the next fan-out; a durability failure poisons
-    /// the engine and resurfaces on the next commit), and the stamp
-    /// signed below attests the *post-flush* position.
-    pub fn heartbeat(&mut self) -> FreshnessStamp
-    where
-        S::Store: Clone,
-    {
+    /// semantics (the failing ops are dropped; a durability failure
+    /// poisons the engine and resurfaces on the next commit), and the
+    /// stamp signed below attests the *post-flush* position.
+    pub fn heartbeat(&mut self) -> FreshnessStamp {
         self.clock += 1;
         if let Some(config) = self.group_commit {
             let aged = !self.pending.is_empty()
@@ -895,131 +840,34 @@ impl<S: AuthScheme> CentralServer<S> {
         }
     }
 
-    /// Insert a tuple (the paper's insert transaction: X-lock the
-    /// scheme's lock targets, apply, re-sign).
-    pub fn insert(
-        &mut self,
-        table: &str,
-        tuple: Tuple,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        self.apply_op(table, UpdateOp::Insert(tuple))
+    /// Insert a tuple: a batch of one through
+    /// [`execute_update_batch`](Self::execute_update_batch).
+    pub fn insert(&mut self, table: &str, tuple: Tuple) -> Committed<S> {
+        self.execute_update_batch(table, vec![UpdateOp::Insert(tuple)])
     }
 
-    /// Delete a tuple (X-lock the path, recompute digests bottom-up).
-    pub fn delete(
-        &mut self,
-        table: &str,
-        key: u64,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        self.apply_op(table, UpdateOp::Delete(key))
+    /// Delete a tuple: a batch of one.
+    pub fn delete(&mut self, table: &str, key: u64) -> Committed<S> {
+        self.execute_update_batch(table, vec![UpdateOp::Delete(key)])
     }
 
-    /// Batch range delete (equation (12)'s transaction).
-    pub fn delete_range(
-        &mut self,
-        table: &str,
-        lo: u64,
-        hi: u64,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        self.apply_op(table, UpdateOp::DeleteRange(lo, hi))
+    /// Batch range delete (equation (12)'s transaction): a batch of one.
+    pub fn delete_range(&mut self, table: &str, lo: u64, hi: u64) -> Committed<S> {
+        self.execute_update_batch(table, vec![UpdateOp::DeleteRange(lo, hi)])
     }
 
-    /// One update transaction: lock the scheme's targets exclusively,
-    /// apply to the authenticated store and the catalog, release, then
-    /// refresh affected views and log the signed delta.
-    fn apply_op(
-        &mut self,
-        table: &str,
-        op: UpdateOp,
-    ) -> Result<SignedDelta<S::Delta>, CentralError<S::Error>> {
-        let txn = self.next_txn();
-        let targets = {
-            let store = self
-                .stores
-                .get(table)
-                .ok_or_else(|| CentralError::UnknownTable(table.into()))?;
-            self.scheme.lock_targets(store, &op)
-        };
-        let resources: Vec<_> = targets
-            .into_iter()
-            .map(|n| (table.to_string(), n))
-            .collect();
-        self.locks
-            .try_acquire_all(txn, &resources, LockMode::Exclusive)
-            .expect("single-threaded central server cannot conflict with itself");
-
-        let result = (|| {
-            let store = self.stores.get_mut(table).expect("checked above");
-            let payload = self
-                .scheme
-                .update(store, &op, self.signer.as_ref())
-                .map_err(CentralError::Scheme)?;
-            let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-            match &op {
-                UpdateOp::Insert(tuple) => {
-                    cat.insert(tuple.clone())?;
-                }
-                UpdateOp::Delete(key) => {
-                    cat.delete(*key)?;
-                }
-                UpdateOp::DeleteRange(lo, hi) => {
-                    let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                    for k in doomed {
-                        cat.delete(k)?;
-                    }
-                }
-            }
-            Ok::<_, CentralError<S::Error>>(payload)
-        })();
-        self.locks.release_all(txn);
-        let payload = result?;
-
-        self.refresh_views_for(table)?;
-        self.clock += 1;
-        let delta = SignedDelta {
-            seq: self.log.next_seq(),
-            table: table.to_string(),
-            op,
-            payload,
-            key_version: self.signer.key_version(),
-        };
-        self.log
-            .push(delta.clone())
-            .expect("commit path issues contiguous seqs");
-        // In cluster mode, attest the new position and prune stamps
-        // that fell out of the retention windows (newest always kept).
-        let stamp = if self.stamp_commits {
-            let attested = self.log.next_seq();
-            let stamp = FreshnessStamp::sign(self.signer.as_ref(), attested, self.clock);
-            self.stamps.insert(attested, stamp.clone());
-            self.prune_stamps();
-            Some(stamp)
-        } else {
-            None
-        };
-        // Append-before-ack: the WAL record (and its fsync) must land
-        // before this commit is returned to the caller.
-        self.durability_commit_op(stamp.as_ref(), &delta)?;
-        Ok(delta)
-    }
-
-    /// One group-commit transaction: X-lock the union of every op's
-    /// lock targets, apply the whole batch to the authenticated store
-    /// through [`AuthScheme::update_batch`] (for the VB-tree: one
-    /// deferred signing sweep over the dirty nodes instead of per-op
-    /// path re-signs), mirror the ops into the catalog, release,
-    /// refresh affected views **once**, and log one [`DeltaBatch`]
-    /// covering the ops' whole sequence range — with **one** freshness
-    /// stamp attesting the batch's end position (in cluster mode)
-    /// instead of one per op. `k` ops thus cost ~1 signature sweep, ~1
-    /// stamp, and ~1 fan-out message.
+    /// One group-commit transaction on one table: the one-section case
+    /// of the commit routine behind [`commit_txn`](Self::commit_txn).
+    /// The whole batch goes through [`AuthScheme::update_batch`] (for
+    /// the VB-tree: one deferred signing sweep over the dirty nodes
+    /// instead of per-op path re-signs), views refresh **once**, and one
+    /// [`DeltaBatch`] covering the ops' whole sequence range is logged —
+    /// with **one** freshness stamp attesting the batch's end position
+    /// (in cluster mode) instead of one per op. `k` ops thus cost ~1
+    /// signature sweep, ~1 stamp, ~1 WAL record and ~1 fan-out message.
     ///
-    /// An empty `ops` is a no-op: nothing locks, commits, or logs.
-    pub fn execute_update_batch(
-        &mut self,
-        table: &str,
-        ops: Vec<UpdateOp>,
-    ) -> Result<Arc<DeltaBatch<S::Delta>>, CentralError<S::Error>> {
+    /// An empty `ops` is a no-op: nothing commits or logs.
+    pub fn execute_update_batch(&mut self, table: &str, ops: Vec<UpdateOp>) -> Committed<S> {
         if ops.is_empty() {
             return Ok(Arc::new(DeltaBatch {
                 start_seq: self.log.next_seq(),
@@ -1030,84 +878,10 @@ impl<S: AuthScheme> CentralServer<S> {
                 stamp: None,
             }));
         }
-        let txn = self.next_txn();
-        let resources: Vec<_> = {
-            let store = self
-                .stores
-                .get(table)
-                .ok_or_else(|| CentralError::UnknownTable(table.into()))?;
-            let mut targets: Vec<usize> = ops
-                .iter()
-                .flat_map(|op| self.scheme.lock_targets(store, op))
-                .collect();
-            targets.sort_unstable();
-            targets.dedup();
-            targets
-                .into_iter()
-                .map(|n| (table.to_string(), n))
-                .collect()
-        };
-        self.locks
-            .try_acquire_all(txn, &resources, LockMode::Exclusive)
-            .expect("single-threaded central server cannot conflict with itself");
-
-        let result = (|| {
-            let store = self.stores.get_mut(table).expect("checked above");
-            let payloads = self
-                .scheme
-                .update_batch(store, &ops, self.signer.as_ref())
-                .map_err(CentralError::Scheme)?;
-            let cat = self.catalog.get_mut(table).expect("catalog mirrors stores");
-            for op in &ops {
-                match op {
-                    UpdateOp::Insert(tuple) => {
-                        cat.insert(tuple.clone())?;
-                    }
-                    UpdateOp::Delete(key) => {
-                        cat.delete(*key)?;
-                    }
-                    UpdateOp::DeleteRange(lo, hi) => {
-                        let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                        for k in doomed {
-                            cat.delete(k)?;
-                        }
-                    }
-                }
-            }
-            Ok::<_, CentralError<S::Error>>(payloads)
-        })();
-        self.locks.release_all(txn);
-        let payloads = result?;
-
-        self.refresh_views_for(table)?;
-        self.clock += 1;
-        let start_seq = self.log.next_seq();
-        let end_seq = start_seq + ops.len() as u64;
-        // One stamp for the whole batch, attesting its end position.
-        let stamp = self.stamp_commits.then(|| {
-            let stamp = FreshnessStamp::sign(self.signer.as_ref(), end_seq, self.clock);
-            self.stamps.insert(end_seq, stamp.clone());
-            stamp
-        });
-        let batch = self
-            .log
-            .push_batch(DeltaBatch {
-                start_seq,
-                table: table.to_string(),
-                ops,
-                payloads,
-                key_version: self.signer.key_version(),
-                stamp,
-            })
-            .expect("commit path issues contiguous seqs");
-        if self.stamp_commits {
-            self.prune_stamps();
+        match self.commit(vec![(table.to_string(), ops)], false)? {
+            LogEntry::Batch(batch) => Ok(batch),
+            LogEntry::Txn(_) => unreachable!("a batch commit logs a batch"),
         }
-        // Append-before-ack: one WAL record (and one fsync) covers the
-        // whole batch — the durable analogue of the group-commit
-        // signing sweep.
-        self.durability_commit_batch(&batch)?;
-        Ok(batch)
     }
 
     /// Begin staging an atomic multi-table transaction. Stage ops with
@@ -1117,20 +891,15 @@ impl<S: AuthScheme> CentralServer<S> {
         Txn::default()
     }
 
-    /// Commit a staged multi-table transaction **atomically**: X-lock
-    /// the union of every touched table's lock targets, mirror every op
-    /// into staged clones of the catalog tables (validating conflicts
-    /// before anything mutates), run every per-table
-    /// [`AuthScheme::update_batch`] signing sweep, then log one
-    /// [`TxnBatch`] and append **one** checksummed `CommitTxn` WAL
+    /// Commit a staged multi-table transaction **atomically**: run every
+    /// per-table [`AuthScheme::update_batch`] signing sweep, then log
+    /// one [`TxnBatch`] and append **one** checksummed `CommitTxn` WAL
     /// record — fsync'd before *any* table's state is acked.
     ///
-    /// All-or-nothing: on any failure — an unknown table, a catalog
-    /// conflict, a failing sweep, a WAL append — no store, catalog
-    /// table, log entry, or durable record changes at all. Stores
-    /// already swept when a later run fails are restored from snapshots
-    /// taken under the txn's locks. (A WAL failure additionally poisons
-    /// the durability engine, exactly like every other commit path.)
+    /// All-or-nothing: on any failure — an unknown table, a bad row, a
+    /// failing sweep — no store, catalog table, log entry, or durable
+    /// record changes at all. (A WAL failure poisons the durability
+    /// engine, exactly like every other commit.)
     ///
     /// Consecutive same-table runs become the txn's sections, chained
     /// over one contiguous sequence range in arrival order, and one
@@ -1140,18 +909,13 @@ impl<S: AuthScheme> CentralServer<S> {
     pub fn commit_txn(
         &mut self,
         txn: Txn,
-    ) -> Result<Arc<TxnBatch<S::Delta>>, CentralError<S::Error>>
-    where
-        S::Store: Clone,
-    {
+    ) -> Result<Arc<TxnBatch<S::Delta>>, CentralError<S::Error>> {
         if txn.staged.is_empty() {
             return Ok(Arc::new(TxnBatch {
                 sections: Vec::new(),
                 stamp: None,
             }));
         }
-        // Group staged ops into consecutive same-table runs — the
-        // txn's sections, committing in arrival order.
         let mut runs: Vec<(String, Vec<UpdateOp>)> = Vec::new();
         for (table, op) in txn.staged {
             match runs.last_mut() {
@@ -1159,134 +923,112 @@ impl<S: AuthScheme> CentralServer<S> {
                 _ => runs.push((table, vec![op])),
             }
         }
-        // Validate every table before anything mutates.
-        for (table, _) in &runs {
-            if !self.stores.contains_key(table) {
-                return Err(CentralError::UnknownTable(table.clone()));
-            }
+        match self.commit(runs, true)? {
+            LogEntry::Txn(txn) => Ok(txn),
+            LogEntry::Batch(_) => unreachable!("a txn commit logs a txn"),
         }
-        // Union of every run's lock targets across all touched tables.
-        let lock_txn = self.next_txn();
-        let mut resources: Vec<(String, usize)> = Vec::new();
-        for (table, ops) in &runs {
-            let store = self.stores.get(table).expect("validated above");
+    }
+
+    /// The one commit routine: apply non-empty `sections` in order,
+    /// refresh the views over every touched table, then advance the
+    /// clock, stamp, log and WAL-append (before the ack) **one** entry —
+    /// a [`TxnBatch`] when `as_txn`, else the single section as a
+    /// [`DeltaBatch`].
+    ///
+    /// All-or-nothing. Validation runs before anything mutates: every
+    /// table exists and every inserted row fits its schema, so a
+    /// section's catalog mirror cannot fail once its store sweep
+    /// succeeded. `update_batch` restores its own store on failure, so
+    /// only tables touched *before* the last section keep an undo copy
+    /// (store + catalog table) — a one-section commit copies nothing and
+    /// stays O(delta).
+    fn commit(
+        &mut self,
+        sections: Vec<(String, Vec<UpdateOp>)>,
+        as_txn: bool,
+    ) -> Result<LogEntry<S::Delta>, CentralError<S::Error>> {
+        for (table, ops) in &sections {
+            let cat = self
+                .catalog
+                .get(table)
+                .ok_or_else(|| CentralError::UnknownTable(table.clone()))?;
             for op in ops {
-                for target in self.scheme.lock_targets(store, op) {
-                    resources.push((table.clone(), target));
+                if let UpdateOp::Insert(tuple) = op {
+                    cat.schema().check_row(&tuple.values)?;
                 }
             }
         }
-        resources.sort_unstable();
-        resources.dedup();
-        self.locks
-            .try_acquire_all(lock_txn, &resources, LockMode::Exclusive)
-            .expect("single-threaded central server cannot conflict with itself");
-
-        let result = (|| {
-            // 1. Mirror every op into clones of the touched catalog
-            //    tables: catalog-level conflicts (duplicate keys,
-            //    missing keys) surface here, before any store mutates.
-            let mut staged_cat: BTreeMap<String, Table> = BTreeMap::new();
-            for (table, ops) in &runs {
-                if !staged_cat.contains_key(table) {
-                    let cat = self
-                        .catalog
-                        .get(table)
-                        .expect("catalog mirrors stores")
-                        .clone();
-                    staged_cat.insert(table.clone(), cat);
-                }
-                let cat = staged_cat.get_mut(table).expect("inserted above");
-                for op in ops {
-                    match op {
-                        UpdateOp::Insert(tuple) => {
-                            cat.insert(tuple.clone())?;
-                        }
-                        UpdateOp::Delete(key) => {
-                            cat.delete(*key)?;
-                        }
-                        UpdateOp::DeleteRange(lo, hi) => {
-                            let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
-                            for k in doomed {
-                                cat.delete(k)?;
-                            }
-                        }
+        let last = sections.len() - 1;
+        let mut undo: BTreeMap<String, (S::Store, Table)> = BTreeMap::new();
+        let mut payloads = Vec::with_capacity(sections.len());
+        for (i, (table, ops)) in sections.iter().enumerate() {
+            let store = self.stores.get_mut(table).expect("catalog mirrors stores");
+            let cat = self.catalog.get_mut(table).expect("validated above");
+            if i < last && !undo.contains_key(table) {
+                undo.insert(table.clone(), (store.clone(), cat.clone()));
+            }
+            let swept = match self.scheme.update_batch(store, ops, self.signer.as_ref()) {
+                Ok(p) => mirror_ops(cat, ops).map(|()| p).map_err(CentralError::from),
+                Err(e) => Err(CentralError::Scheme(e)),
+            };
+            match swept {
+                Ok(p) => payloads.push(p),
+                Err(e) => {
+                    for (table, (store, cat)) in undo {
+                        self.stores.insert(table, store);
+                        self.catalog.put(cat);
                     }
+                    return Err(e);
                 }
             }
-            // 2. Every per-table signing sweep, with undo snapshots so
-            //    a failing run rolls the whole txn back — never a table
-            //    subset.
-            let mut undo: BTreeMap<String, S::Store> = BTreeMap::new();
-            let mut run_payloads: Vec<Vec<S::Delta>> = Vec::with_capacity(runs.len());
-            for (table, ops) in &runs {
-                if !undo.contains_key(table) {
-                    let snapshot = self.stores.get(table).expect("validated above").clone();
-                    undo.insert(table.clone(), snapshot);
-                }
-                let store = self.stores.get_mut(table).expect("validated above");
-                match self.scheme.update_batch(store, ops, self.signer.as_ref()) {
-                    Ok(payloads) => run_payloads.push(payloads),
-                    Err(e) => {
-                        for (t, snapshot) in undo {
-                            self.stores.insert(t, snapshot);
-                        }
-                        return Err(CentralError::Scheme(e));
-                    }
-                }
-            }
-            // 3. Install the staged catalog tables (infallible).
-            for (_, table) in staged_cat {
-                self.catalog.put(table);
-            }
-            Ok(run_payloads)
-        })();
-        self.locks.release_all(lock_txn);
-        let run_payloads = result?;
-
-        let mut touched: Vec<String> = runs.iter().map(|(t, _)| t.clone()).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for table in &touched {
-            self.refresh_views_for(table)?;
         }
+        self.refresh_views_for(sections.iter().map(|(t, _)| t.as_str()))?;
+
         self.clock += 1;
         let key_version = self.signer.key_version();
         let mut seq = self.log.next_seq();
-        let mut sections = Vec::with_capacity(runs.len());
-        for ((table, ops), payloads) in runs.into_iter().zip(run_payloads) {
-            let start_seq = seq;
-            seq += ops.len() as u64;
-            sections.push(DeltaBatch {
-                start_seq,
-                table,
-                ops,
-                payloads,
-                key_version,
-                // The txn-level stamp covers the whole envelope; the
-                // sections carry none of their own.
-                stamp: None,
-            });
-        }
-        let end_seq = seq;
-        // One stamp for the whole txn, attesting its end position.
+        let mut batches: Vec<DeltaBatch<S::Delta>> = sections
+            .into_iter()
+            .zip(payloads)
+            .map(|((table, ops), payloads)| {
+                let start_seq = seq;
+                seq += ops.len() as u64;
+                DeltaBatch {
+                    start_seq,
+                    table,
+                    ops,
+                    payloads,
+                    key_version,
+                    stamp: None,
+                }
+            })
+            .collect();
+        // One stamp for the whole entry, attesting its end position.
         let stamp = self.stamp_commits.then(|| {
-            let stamp = FreshnessStamp::sign(self.signer.as_ref(), end_seq, self.clock);
-            self.stamps.insert(end_seq, stamp.clone());
+            let stamp = FreshnessStamp::sign(self.signer.as_ref(), seq, self.clock);
+            self.stamps.insert(seq, stamp.clone());
             stamp
         });
-        let committed = self
-            .log
-            .push_txn(TxnBatch { sections, stamp })
+        let entry = if as_txn {
+            LogEntry::Txn(Arc::new(TxnBatch {
+                sections: batches,
+                stamp,
+            }))
+        } else {
+            let mut batch = batches.pop().expect("one section");
+            batch.stamp = stamp;
+            LogEntry::Batch(Arc::new(batch))
+        };
+        self.log
+            .append(entry.clone())
             .expect("commit path issues contiguous seqs");
         if self.stamp_commits {
             self.prune_stamps();
         }
-        // Append-before-ack: one CommitTxn WAL record (and one fsync)
-        // covers every table's sweep — no table's state is acked before
-        // the whole txn is durable.
-        self.durability_commit_txn(&committed)?;
-        Ok(committed)
+        // Append-before-ack: one WAL record (and one fsync) covers the
+        // whole entry — no table's state is acked before it is durable.
+        self.durability_commit(&entry)?;
+        Ok(entry)
     }
 
     /// Enqueue one update into the group-commit queue, committing
@@ -1297,25 +1039,19 @@ impl<S: AuthScheme> CentralServer<S> {
     /// `commit_interval` clock ticks. Returns what *this* call
     /// committed (often nothing — the op just joined the queue).
     ///
-    /// Per-table conflict handling is preserved: a flush groups
-    /// **consecutive same-table runs**, so commit order across tables
-    /// is exactly arrival order and every run takes the Section 3.4
-    /// locks for its own table's ops. A flush whose pending queue spans
-    /// more than one table commits as one atomic
-    /// [`commit_txn`](Self::commit_txn) — see
+    /// Commit order across tables is exactly arrival order: a flush
+    /// whose pending queue spans more than one table commits as one
+    /// atomic [`commit_txn`](Self::commit_txn) — see
     /// [`flush_group_commit`](Self::flush_group_commit).
-    pub fn enqueue_update(&mut self, table: &str, op: UpdateOp) -> Result<Flushed<S>, FlushError<S>>
-    where
-        S::Store: Clone,
-    {
+    pub fn enqueue_update(
+        &mut self,
+        table: &str,
+        op: UpdateOp,
+    ) -> Result<Flushed<S>, CentralError<S::Error>> {
         let Some(config) = self.group_commit else {
-            return match self.execute_update_batch(table, vec![op]) {
-                Ok(batch) => Ok(Flushed::Batches(vec![batch])),
-                Err(error) => Err(FlushError {
-                    committed: Vec::new(),
-                    error,
-                }),
-            };
+            return Ok(Flushed::Batches(vec![
+                self.execute_update_batch(table, vec![op])?
+            ]));
         };
         if self.pending.is_empty() {
             self.pending_since_clock = self.clock;
@@ -1330,65 +1066,30 @@ impl<S: AuthScheme> CentralServer<S> {
         }
     }
 
-    /// Commit every pending group-commit op now. Call this to bound
-    /// commit latency when the enqueue-side triggers have not fired.
+    /// Commit every pending group-commit op now, all-or-nothing. Call
+    /// this to bound commit latency when the enqueue-side triggers have
+    /// not fired.
     ///
-    /// A pending queue that touches **more than one table** reroutes
-    /// through [`commit_txn`](Self::commit_txn): every consecutive
-    /// same-table run becomes a section of one atomic [`TxnBatch`] —
-    /// one WAL record, one stamp, all-or-nothing. The partial-flush
-    /// surface is gone for grouped runs: on failure *nothing* commits,
-    /// the whole txn's ops are dropped with the error (the atomic
-    /// analogue of dropping a failing run), and
-    /// [`FlushError::committed`] is empty.
-    ///
-    /// A **single-table** queue keeps the legacy per-table path: it
-    /// commits as one [`DeltaBatch`] through
-    /// [`execute_update_batch`](Self::execute_update_batch), and a
-    /// failure drops that run's ops with the error, exactly like a
-    /// failed single-op commit.
-    pub fn flush_group_commit(&mut self) -> Result<Flushed<S>, FlushError<S>>
-    where
-        S::Store: Clone,
-    {
-        let multi_table = self.pending.windows(2).any(|w| w[0].0 != w[1].0);
-        if multi_table {
-            let txn = Txn {
-                staged: std::mem::take(&mut self.pending),
-            };
-            return match self.commit_txn(txn) {
-                Ok(txn) => Ok(Flushed::Txn(txn)),
-                Err(error) => Err(FlushError {
-                    committed: Vec::new(),
-                    error,
-                }),
-            };
+    /// A queue naming one table commits as one [`DeltaBatch`] through
+    /// [`execute_update_batch`](Self::execute_update_batch); a queue
+    /// touching **more than one table** commits through
+    /// [`commit_txn`](Self::commit_txn), every consecutive same-table
+    /// run a section of one atomic [`TxnBatch`]. On failure nothing
+    /// commits and the whole queue's ops are dropped with the error,
+    /// exactly like a failed single commit.
+    pub fn flush_group_commit(&mut self) -> Result<Flushed<S>, CentralError<S::Error>> {
+        let pending = std::mem::take(&mut self.pending);
+        let Some((table, _)) = pending.first() else {
+            return Ok(Flushed::Batches(Vec::new()));
+        };
+        if pending.iter().all(|(t, _)| t == table) {
+            let table = table.clone();
+            let ops = pending.into_iter().map(|(_, op)| op).collect();
+            let batch = self.execute_update_batch(&table, ops)?;
+            return Ok(Flushed::Batches(vec![batch]));
         }
-        let mut runs: Vec<(String, Vec<UpdateOp>)> = Vec::new();
-        for (table, op) in std::mem::take(&mut self.pending) {
-            match runs.last_mut() {
-                Some((t, run)) if *t == table => run.push(op),
-                _ => runs.push((table, vec![op])),
-            }
-        }
-        let mut batches = Vec::new();
-        let mut runs = runs.into_iter();
-        for (table, run) in runs.by_ref() {
-            match self.execute_update_batch(&table, run) {
-                Ok(batch) => batches.push(batch),
-                Err(error) => {
-                    self.pending = runs
-                        .flat_map(|(t, ops)| ops.into_iter().map(move |op| (t.clone(), op)))
-                        .collect();
-                    self.pending_since_clock = self.clock;
-                    return Err(FlushError {
-                        committed: batches,
-                        error,
-                    });
-                }
-            }
-        }
-        Ok(Flushed::Batches(batches))
+        let txn = self.commit_txn(Txn { staged: pending })?;
+        Ok(Flushed::Txn(txn))
     }
 
     /// Ops waiting in the group-commit queue.
@@ -1437,11 +1138,19 @@ impl<S: AuthScheme> CentralServer<S> {
         self.durability_mark_ddl();
     }
 
-    pub(crate) fn refresh_views_for(&mut self, table: &str) -> Result<(), CentralError<S::Error>> {
+    /// Rebuild every join view that reads any of `tables` (each view
+    /// once, however many of its tables the commit touched).
+    pub(crate) fn refresh_views_for<'a>(
+        &mut self,
+        tables: impl Iterator<Item = &'a str>,
+    ) -> Result<(), CentralError<S::Error>> {
+        let tables: Vec<&str> = tables.collect();
         let affected: Vec<JoinViewDef> = self
             .views
             .iter()
-            .filter(|d| d.left_table == table || d.right_table == table)
+            .filter(|d| {
+                tables.contains(&d.left_table.as_str()) || tables.contains(&d.right_table.as_str())
+            })
             .cloned()
             .collect();
         for def in affected {
@@ -1459,10 +1168,26 @@ impl<S: AuthScheme> CentralServer<S> {
         }
         Ok(())
     }
+}
 
-    fn next_txn(&self) -> u64 {
-        self.clock + 1_000_000 * (self.log.next_seq() + 1)
+/// Mirror committed (or replayed) ops into a plain-tuple catalog table —
+/// the one helper the commit routine and WAL replay share.
+pub(crate) fn mirror_ops(cat: &mut Table, ops: &[UpdateOp]) -> Result<(), StorageError> {
+    for op in ops {
+        match op {
+            UpdateOp::Insert(tuple) => cat.insert(tuple.clone())?,
+            UpdateOp::Delete(key) => {
+                cat.delete(*key)?;
+            }
+            UpdateOp::DeleteRange(lo, hi) => {
+                let doomed: Vec<u64> = cat.range(*lo, *hi).map(|t| t.key).collect();
+                for k in doomed {
+                    cat.delete(k)?;
+                }
+            }
+        }
     }
+    Ok(())
 }
 
 /// VB-tree specific surface: the compatibility constructor and the tree

@@ -36,7 +36,7 @@ use crate::edge_server::EdgeServer;
 use crate::service::EdgeError;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp};
+use vbx_core::scheme::{AuthScheme, DeltaBatch, TxnBatch, UpdateOp};
 use vbx_core::RangeQuery;
 use vbx_storage::{Table, Tuple};
 
@@ -289,24 +289,24 @@ impl<E> From<vbx_core::SyncError> for ClusterError<E> {
     }
 }
 
-/// One entry of an edge's subscription queue: the signed delta (or the
-/// shared handle of a group-committed batch) for tables the edge owns,
-/// a bare sequence-range placeholder for everything else (so the edge's
-/// position advances without cloning foreign deltas — a foreign batch
-/// of `k` ops is one placeholder, not `k`).
+/// A batch committed at the owner and fanned out (a shared handle into
+/// the delta log), or the reason nothing committed.
+pub type ClusterCommitted<S> =
+    Result<Arc<DeltaBatch<<S as AuthScheme>::Delta>>, ClusterError<<S as AuthScheme>::Error>>;
+
+/// One entry of an edge's subscription queue: the log entry (a shared
+/// handle) for tables the edge owns, a bare sequence-range placeholder
+/// for everything else (so the edge's position advances without cloning
+/// foreign deltas — a foreign batch of `k` ops is one placeholder, not
+/// `k`).
 #[derive(Clone, Debug)]
 enum QueueItem<P> {
-    Apply(SignedDelta<P>),
-    ApplyBatch(Arc<DeltaBatch<P>>),
-    ApplyTxn(Arc<TxnBatch<P>>),
+    Entry(LogEntry<P>),
     Skip { start_seq: u64, count: u64 },
 }
 
 /// One edge replica plus its subscription state.
-struct EdgeSlot<S: AuthScheme>
-where
-    S::Store: Clone,
-{
+struct EdgeSlot<S: AuthScheme> {
     server: EdgeServer<S>,
     queue: VecDeque<QueueItem<S::Delta>>,
     /// Next global sequence number to pull from the central log.
@@ -345,20 +345,14 @@ pub struct RoutedResponse<R> {
 
 /// The cluster control plane: one trusted [`CentralServer`] plus N
 /// sharded [`EdgeServer`] replicas (see module docs).
-pub struct ClusterCoordinator<S: AuthScheme>
-where
-    S::Store: Clone,
-{
+pub struct ClusterCoordinator<S: AuthScheme> {
     central: CentralServer<S>,
     edges: Vec<EdgeSlot<S>>,
     shard_map: ShardMap,
     max_queue: usize,
 }
 
-impl<S: AuthScheme + Clone> ClusterCoordinator<S>
-where
-    S::Store: Clone,
-{
+impl<S: AuthScheme + Clone> ClusterCoordinator<S> {
     /// Stand up a cluster: a central server with a bounded delta log
     /// and `config.edges` empty edge replicas subscribed from sequence
     /// zero.
@@ -514,40 +508,21 @@ where
         owner
     }
 
-    /// Insert at the owner; the signed delta is fanned out to the
-    /// subscription queues (not yet applied — see
+    /// Insert at the owner as a batch of one; the batch is fanned out
+    /// to the subscription queues (not yet applied — see
     /// [`drain_edge`](Self::drain_edge)).
-    pub fn insert(
-        &mut self,
-        table: &str,
-        tuple: Tuple,
-    ) -> Result<SignedDelta<S::Delta>, ClusterError<S::Error>> {
-        let delta = self.central.insert(table, tuple)?;
-        self.fan_out()?;
-        Ok(delta)
+    pub fn insert(&mut self, table: &str, tuple: Tuple) -> ClusterCommitted<S> {
+        self.update_batch(table, vec![UpdateOp::Insert(tuple)])
     }
 
-    /// Delete at the owner and fan out.
-    pub fn delete(
-        &mut self,
-        table: &str,
-        key: u64,
-    ) -> Result<SignedDelta<S::Delta>, ClusterError<S::Error>> {
-        let delta = self.central.delete(table, key)?;
-        self.fan_out()?;
-        Ok(delta)
+    /// Delete at the owner as a batch of one and fan out.
+    pub fn delete(&mut self, table: &str, key: u64) -> ClusterCommitted<S> {
+        self.update_batch(table, vec![UpdateOp::Delete(key)])
     }
 
-    /// Range-delete at the owner and fan out.
-    pub fn delete_range(
-        &mut self,
-        table: &str,
-        lo: u64,
-        hi: u64,
-    ) -> Result<SignedDelta<S::Delta>, ClusterError<S::Error>> {
-        let delta = self.central.delete_range(table, lo, hi)?;
-        self.fan_out()?;
-        Ok(delta)
+    /// Range-delete at the owner as a batch of one and fan out.
+    pub fn delete_range(&mut self, table: &str, lo: u64, hi: u64) -> ClusterCommitted<S> {
+        self.update_batch(table, vec![UpdateOp::DeleteRange(lo, hi)])
     }
 
     /// Group-commit a whole batch of updates at the owner (one
@@ -556,11 +531,7 @@ where
     /// batch envelope out: the owning edge's queue gets one shared
     /// `Arc`, every other edge one range placeholder — **one fan-out
     /// message for `k` ops** instead of `k`.
-    pub fn update_batch(
-        &mut self,
-        table: &str,
-        ops: Vec<UpdateOp>,
-    ) -> Result<Arc<DeltaBatch<S::Delta>>, ClusterError<S::Error>> {
+    pub fn update_batch(&mut self, table: &str, ops: Vec<UpdateOp>) -> ClusterCommitted<S> {
         let batch = self.central.execute_update_batch(table, ops)?;
         self.fan_out()?;
         Ok(batch)
@@ -611,11 +582,7 @@ where
                 // (applied all-or-none), never a per-table slice.
                 let owned = entry.tables().any(|t| self.shard_map.owner(t) == Some(id));
                 let item = if owned {
-                    match entry {
-                        LogEntry::Op(delta) => QueueItem::Apply(delta.clone()),
-                        LogEntry::Batch(batch) => QueueItem::ApplyBatch(batch.clone()),
-                        LogEntry::Txn(txn) => QueueItem::ApplyTxn(txn.clone()),
-                    }
+                    QueueItem::Entry(entry.clone())
                 } else {
                     QueueItem::Skip {
                         start_seq: entry.start_seq(),
@@ -653,9 +620,7 @@ where
                 break;
             };
             match item {
-                QueueItem::Apply(delta) => slot.server.apply_delta(&delta)?,
-                QueueItem::ApplyBatch(batch) => slot.server.apply_delta_batch(&batch)?,
-                QueueItem::ApplyTxn(txn) => slot.server.apply_txn(&txn)?,
+                QueueItem::Entry(entry) => slot.server.apply_log_entry(&entry)?,
                 QueueItem::Skip { start_seq, count } => {
                     slot.server.service().skip_deltas(start_seq, count)?
                 }

@@ -21,7 +21,7 @@ use crate::service::EdgeService;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, VbScheme, VbSchemeError};
+use vbx_core::scheme::{AuthScheme, DeltaBatch, TxnBatch, VbScheme, VbSchemeError};
 use vbx_core::{
     compact_response_bytes, encode_compact_prefix, encode_compact_response, execute, QueryResponse,
     RangeQuery, VbTree,
@@ -36,19 +36,13 @@ pub use vbx_query::engine::PlannedQuery as Plan;
 
 /// An edge server instance: the concurrent serving engine plus the
 /// view registry and the test-only tamper switch.
-pub struct EdgeServer<S: AuthScheme>
-where
-    S::Store: Clone,
-{
+pub struct EdgeServer<S: AuthScheme> {
     service: EdgeService<S>,
     views: Vec<JoinViewDef>,
     tamper: RwLock<TamperMode>,
 }
 
-impl<S: AuthScheme> EdgeServer<S>
-where
-    S::Store: Clone,
-{
+impl<S: AuthScheme> EdgeServer<S> {
     /// An empty edge server for a scheme (tables arrive via
     /// [`install_table`](Self::install_table) or, for the VB-tree, a
     /// distribution bundle).
@@ -140,16 +134,12 @@ where
         Ok(resp)
     }
 
-    /// Apply one signed update delta, verifying order and (where the
-    /// scheme can) replay consistency. Takes `&self`: a writer thread
-    /// can advance the replicas while readers keep serving snapshots.
-    pub fn apply_delta(&self, delta: &SignedDelta<S::Delta>) -> Result<(), EdgeError<S::Error>> {
-        self.service.apply_delta(delta)
-    }
-
-    /// Apply one group-committed [`DeltaBatch`]: one snapshot clone, `k`
-    /// replays, one swap, one cache invalidation (see
-    /// [`EdgeService::apply_delta_batch`]).
+    /// Apply one group-committed [`DeltaBatch`] (a single update is a
+    /// batch of one), verifying order and (where the scheme can) replay
+    /// consistency: one snapshot clone, `k` replays, one swap, one cache
+    /// invalidation (see [`EdgeService::apply_delta_batch`]). Takes
+    /// `&self`: a writer thread can advance the replicas while readers
+    /// keep serving snapshots.
     pub fn apply_delta_batch(
         &self,
         batch: &DeltaBatch<S::Delta>,
@@ -163,8 +153,8 @@ where
         self.service.apply_txn(txn)
     }
 
-    /// Apply one subscription log entry (single-op delta, batch, or
-    /// atomic multi-table txn).
+    /// Apply one subscription log entry (batch or atomic multi-table
+    /// txn).
     pub fn apply_log_entry(&self, entry: &LogEntry<S::Delta>) -> Result<(), EdgeError<S::Error>> {
         self.service.apply_log_entry(entry)
     }

@@ -5,8 +5,9 @@
 //!
 //! * [`central`] — the **trusted central DBMS**: owns the master
 //!   database and the private key, builds and maintains VB-trees,
-//!   executes update transactions under the Section 3.4 locking
-//!   protocol, and propagates signed update deltas to edge servers;
+//!   commits every update — a single op is a batch of one, a batch a
+//!   one-section txn — through one routine, and propagates signed
+//!   update deltas to edge servers;
 //! * [`edge_server`] — **unsecured edge servers**: hold replicas of the
 //!   tables and VB-trees, answer queries with VOs, and (for the tests)
 //!   can be placed into *tampering* modes that simulate a compromised
@@ -14,8 +15,8 @@
 //! * [`client`] — **trusted clients**: verify results with nothing but
 //!   the public key registry and schema metadata, enforcing freshness
 //!   against the key validity windows;
-//! * [`locks`] — the digest-level shared/exclusive lock manager used by
-//!   update transactions and queries' enveloping subtrees;
+//! * [`locks`] — the digest-level shared/exclusive lock manager the
+//!   edges use for replayed updates and queries' enveloping subtrees;
 //! * [`snapshot`] / [`service`] — the **concurrent serving subsystem**:
 //!   atomically swappable store snapshots per table, the Section 3.4
 //!   lock protocol wired into both the query and the delta path, and a
@@ -54,12 +55,13 @@ pub mod snapshot;
 pub mod sync;
 
 pub use central::{
-    CentralError, CentralServer, CommittedBatches, DeltaLog, DeltaLogError, EdgeBundle, FlushError,
-    Flushed, GroupCommitConfig, LogEntry, Txn, UpdateDelta,
+    CentralError, CentralServer, Committed, CommittedBatches, DeltaLog, DeltaLogError, EdgeBundle,
+    Flushed, GroupCommitConfig, LogEntry, Txn,
 };
 pub use client::{ClientError, EdgeClient, KeyFreshnessPolicy, SchemeClient, SchemeClientError};
 pub use cluster::{
-    ClusterConfig, ClusterCoordinator, ClusterError, EdgeLag, RoutedResponse, ShardMap,
+    ClusterCommitted, ClusterConfig, ClusterCoordinator, ClusterError, EdgeLag, RoutedResponse,
+    ShardMap,
 };
 pub use durability::DurabilityConfig;
 pub use edge_server::{EdgeServer, TamperMode};
@@ -76,4 +78,4 @@ pub use vbx_core::{FreshnessPolicy, FreshnessStamp, ResponseFreshness};
 // The scheme layer the deployment is generic over (re-exported so edge
 // users need only this crate).
 pub use vbx_baselines::{MerkleScheme, NaiveScheme};
-pub use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch, UpdateOp, VbScheme};
+pub use vbx_core::scheme::{AuthScheme, DeltaBatch, TxnBatch, UpdateOp, VbScheme};

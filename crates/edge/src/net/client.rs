@@ -9,7 +9,7 @@
 //! kinds, unwrapping `Error` frames).
 
 use super::transport::{Conn, Transport};
-use crate::central::{EdgeBundle, LogEntry};
+use crate::central::EdgeBundle;
 use crate::edge_server::EdgeServer;
 use crate::service::EdgeError;
 use std::io;
@@ -17,8 +17,7 @@ use std::time::{Duration, Instant};
 use vbx_core::scheme::VbScheme;
 use vbx_core::verify::FreshnessStamp;
 use vbx_core::{
-    decode_delta_batch, decode_signed_delta, decode_txn_batch, CoreError, ErrorCode, NetMsg,
-    RangeQuery, SyncError,
+    decode_delta_batch, decode_txn_batch, CoreError, ErrorCode, NetMsg, RangeQuery, SyncError,
 };
 use vbx_crypto::accum::Accumulator;
 
@@ -310,7 +309,7 @@ impl NetClient {
     }
 
     /// Pull up to `max` subscription entries. Returns the entry
-    /// messages (`DeltaOp`/`DeltaBatch`) followed by the log's
+    /// messages (`DeltaBatch`/`DeltaTxn`/`SkipRange`) followed by the log's
     /// `(head, oldest)` from the terminating `SubAck`.
     pub fn poll_deltas(&mut self, max: u32) -> Result<(Vec<NetMsg>, u64, u64), NetError> {
         self.conn.send(&NetMsg::PollDeltas { max }.to_frame())?;
@@ -319,10 +318,10 @@ impl NetClient {
             match self.recv_msg()? {
                 NetMsg::SubAck { head, oldest } => return Ok((entries, head, oldest)),
                 NetMsg::Error { code, message } => return Err(NetError::Remote { code, message }),
-                entry @ (NetMsg::DeltaOp(_)
-                | NetMsg::DeltaBatch(_)
-                | NetMsg::DeltaTxn(_)
-                | NetMsg::SkipRange { .. }) => entries.push(entry),
+                entry
+                @ (NetMsg::DeltaBatch(_) | NetMsg::DeltaTxn(_) | NetMsg::SkipRange { .. }) => {
+                    entries.push(entry)
+                }
                 other => {
                     return Err(NetError::Protocol(format!(
                         "unexpected {:?} in poll stream",
@@ -354,7 +353,7 @@ impl NetClient {
         })
     }
 
-    /// Push one replication message (a `VBX3`/`VBX6` envelope, skip, or
+    /// Push one replication message (a `VBX3`/`VBX7` envelope, skip, or
     /// stamp) to an edge and return its applied sequence from the Ack.
     pub fn push_replication(&mut self, msg: &NetMsg) -> Result<u64, NetError> {
         let resp = self.call(msg)?;
@@ -397,10 +396,6 @@ pub fn replicate_once<const L: usize>(
     let mut applied = 0usize;
     for entry in entries {
         let res = match entry {
-            NetMsg::DeltaOp(bytes) => {
-                let delta = decode_signed_delta(&bytes, &edge.scheme().acc)?;
-                edge.apply_log_entry(&LogEntry::Op(delta))
-            }
             NetMsg::DeltaBatch(bytes) => {
                 let batch = decode_delta_batch(&bytes, &edge.scheme().acc)?;
                 edge.apply_delta_batch(&batch)

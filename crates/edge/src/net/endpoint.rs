@@ -23,8 +23,8 @@ use crate::service::EdgeError;
 use std::sync::{Arc, Mutex};
 use vbx_core::scheme::{AuthScheme, VbScheme};
 use vbx_core::{
-    decode_delta_batch, decode_signed_delta, decode_txn_batch, encode_delta_batch, encode_response,
-    encode_signed_delta, encode_txn_batch, ErrorCode, Frame, NetMsg,
+    decode_delta_batch, decode_txn_batch, encode_delta_batch, encode_response, encode_txn_batch,
+    ErrorCode, Frame, NetMsg,
 };
 use vbx_crypto::SigVerifier;
 
@@ -132,16 +132,6 @@ impl<const L: usize> FrameEndpoint for EdgeEndpoint<L> {
                 match self.server.query_compact(&table, &queries, agg) {
                     Ok(bytes) => vec![NetMsg::CompactResp(bytes).to_frame()],
                     Err(e) => edge_err_frame(&e),
-                }
-            }
-            NetMsg::DeltaOp(bytes) => {
-                let acc = &self.server.scheme().acc;
-                match decode_signed_delta(&bytes, acc) {
-                    Ok(delta) => match self.server.apply_delta(&delta) {
-                        Ok(()) => vec![self.ack()],
-                        Err(e) => edge_err_frame(&e),
-                    },
-                    Err(e) => err_frame(ErrorCode::BadRequest, format!("{e:?}")),
                 }
             }
             NetMsg::DeltaBatch(bytes) => {
@@ -313,9 +303,6 @@ impl<const L: usize> FrameEndpoint for CentralEndpoint<L> {
                 for entry in entries.into_iter().take(budget) {
                     next = entry.end_seq();
                     frames.push(match entry {
-                        LogEntry::Op(delta) => {
-                            NetMsg::DeltaOp(encode_signed_delta(&delta)).to_frame()
-                        }
                         LogEntry::Batch(batch) => {
                             NetMsg::DeltaBatch(encode_delta_batch(batch.as_ref())).to_frame()
                         }

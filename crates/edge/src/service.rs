@@ -4,7 +4,7 @@
 //! edge site actually runs: every table is a [`ServingReplica`] (an
 //! atomically swappable snapshot, so readers never block), queries take
 //! the Section 3.4 **shared** locks on their enveloping subtree and
-//! updates take **exclusive** locks on the affected path digests through
+//! replayed writes take **exclusive** locks on the affected path digests through
 //! one [`LockManager`] — conflicting paths retry, non-overlapping ones
 //! proceed concurrently, exactly as the paper prescribes — and a
 //! response/VO cache keyed by `(table, range, residual fingerprint)`
@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vbx_core::scheme::{AuthScheme, DeltaBatch, SignedDelta, TxnBatch};
+use vbx_core::scheme::{AuthScheme, DeltaBatch, TxnBatch};
 use vbx_core::{FreshnessStamp, RangeQuery, ResponseFreshness};
 use vbx_storage::Schema;
 
@@ -545,188 +545,110 @@ impl<S: AuthScheme> EdgeService<S> {
         })
     }
 
-    /// Apply one signed update delta: verify order, X-lock the affected
-    /// digests (retrying against in-flight queries), build the successor
-    /// snapshot off to the side, swap, invalidate the table's cache.
-    pub fn apply_delta(&self, delta: &SignedDelta<S::Delta>) -> Result<(), EdgeError<S::Error>>
-    where
-        S::Store: Clone,
-    {
-        let mut seq = self.applied_seq.lock();
-        if delta.seq != *seq {
-            return Err(EdgeError::OutOfOrder {
-                expected: *seq,
-                got: delta.seq,
-            });
-        }
-        let replica = self
-            .replica(&delta.table)
-            .ok_or_else(|| EdgeError::UnknownTable(delta.table.clone()))?;
-        let snap = replica.snapshot();
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let resources: Vec<Resource> = self
-            .scheme
-            .lock_targets(&snap, &delta.op)
-            .into_iter()
-            .map(|n| (delta.table.clone(), n))
-            .collect();
-        self.acquire_with_retry(txn, &resources, LockMode::Exclusive);
-        let result = replica.update_with(|store| {
-            self.scheme
-                .apply_delta(store, &delta.op, &delta.payload, delta.key_version)
-        });
-        self.locks.release_all(txn);
-        result.map_err(EdgeError::Scheme)?;
-        let floor = replica.published_count();
-        self.cache.invalidate_table(&delta.table, floor);
-        self.compact_cache.invalidate_table(&delta.table, floor);
-        *seq += 1;
-        Ok(())
+    /// Apply one group-committed batch: the one-section case of
+    /// [`apply_txn`](Self::apply_txn) — one snapshot clone, `k`
+    /// structural replays inside it, one swap, one cache invalidation.
+    /// A batch for a table this edge does not serve is
+    /// [`EdgeError::UnknownTable`].
+    pub fn apply_delta_batch(
+        &self,
+        batch: &DeltaBatch<S::Delta>,
+    ) -> Result<(), EdgeError<S::Error>> {
+        self.apply_sections(core::slice::from_ref(batch), batch.stamp.as_ref(), false)
     }
 
-    /// Apply one group-committed batch: verify the batch starts at this
-    /// replica's position, X-lock the union of every op's affected
-    /// digests, then pay the per-delta overhead **once** for all `k`
-    /// ops — one snapshot clone, `k` structural replays inside it, one
-    /// swap, one cache invalidation — where the per-op path pays each
-    /// of those `k` times. Installs the batch's owner stamp (if any)
-    /// after the swap, so a reader never sees the new attestation
-    /// paired with the old snapshot.
-    pub fn apply_delta_batch(&self, batch: &DeltaBatch<S::Delta>) -> Result<(), EdgeError<S::Error>>
-    where
-        S::Store: Clone,
-    {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut seq = self.applied_seq.lock();
-        if batch.start_seq != *seq {
-            return Err(EdgeError::OutOfOrder {
-                expected: *seq,
-                got: batch.start_seq,
-            });
-        }
-        let replica = self
-            .replica(&batch.table)
-            .ok_or_else(|| EdgeError::UnknownTable(batch.table.clone()))?;
-        let snap = replica.snapshot();
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        let mut targets: Vec<usize> = batch
-            .ops
-            .iter()
-            .flat_map(|op| self.scheme.lock_targets(&snap, op))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let resources: Vec<Resource> = targets
-            .into_iter()
-            .map(|n| (batch.table.clone(), n))
-            .collect();
-        self.acquire_with_retry(txn, &resources, LockMode::Exclusive);
-        let result = replica.update_with(|store| {
-            self.scheme
-                .apply_delta_batch(store, &batch.ops, &batch.payloads, batch.key_version)
-        });
-        self.locks.release_all(txn);
-        result.map_err(EdgeError::Scheme)?;
-        let floor = replica.published_count();
-        self.cache.invalidate_table(&batch.table, floor);
-        self.compact_cache.invalidate_table(&batch.table, floor);
-        *seq += batch.len() as u64;
-        drop(seq);
-        if let Some(stamp) = &batch.stamp {
-            self.set_freshness_stamp(stamp.clone());
-        }
-        Ok(())
-    }
-
-    /// Apply one atomic multi-table transaction **all-or-none**: verify
-    /// the txn starts at this replica's position, X-lock the union of
-    /// every section's affected digests across all served tables, build
-    /// every table's successor snapshot off to the side, and only when
-    /// *every* section replayed cleanly swap them all in and invalidate
-    /// each touched table's cache once. On any divergence nothing is
-    /// published and the position does not advance — a reader scanning
-    /// two tables of the txn never observes table A at seq n+1 with
-    /// table B still at seq n. Installs the txn's owner stamp (if any)
-    /// after the swaps.
+    /// Apply one atomic multi-table transaction **all-or-none**: no
+    /// reader scanning two tables of the txn ever observes table A at
+    /// seq n+1 with table B still at seq n.
     ///
     /// A section whose table this edge does not serve is a foreign
     /// placeholder — its ops advance the position without local replay,
     /// exactly like a `SkipRange` (a sharded edge receives the whole
     /// atom even when it owns only some of its tables; the router never
     /// reads the unserved tables here).
-    pub fn apply_txn(&self, txn: &TxnBatch<S::Delta>) -> Result<(), EdgeError<S::Error>>
-    where
-        S::Store: Clone,
-    {
-        if txn.sections.is_empty() {
+    pub fn apply_txn(&self, txn: &TxnBatch<S::Delta>) -> Result<(), EdgeError<S::Error>> {
+        self.apply_sections(&txn.sections, txn.stamp.as_ref(), true)
+    }
+
+    /// Apply one subscription log entry — a group-committed batch or an
+    /// atomic multi-table txn.
+    pub fn apply_log_entry(&self, entry: &LogEntry<S::Delta>) -> Result<(), EdgeError<S::Error>> {
+        let txn = matches!(entry, LogEntry::Txn(_));
+        self.apply_sections(entry.sections(), entry.stamp(), txn)
+    }
+
+    /// The one replay routine behind every apply: verify `sections`
+    /// start at this replica's position, X-lock the union of every
+    /// section's affected digests (retrying against in-flight queries),
+    /// build each touched table's successor store off to the side (a
+    /// table touched by several sections chains them on one working
+    /// copy), and only when *every* section replayed cleanly swap them
+    /// all in, invalidate each touched table's cache once, advance the
+    /// position, and install `stamp` — after the swaps, so a reader
+    /// never sees the new attestation paired with an old snapshot. On
+    /// any failure nothing is published and the position stays put.
+    ///
+    /// A section on a table this edge does not serve is
+    /// [`EdgeError::UnknownTable`] unless `foreign_ok`, when it is a
+    /// placeholder that advances the position without replay.
+    fn apply_sections(
+        &self,
+        sections: &[DeltaBatch<S::Delta>],
+        stamp: Option<&FreshnessStamp>,
+        foreign_ok: bool,
+    ) -> Result<(), EdgeError<S::Error>> {
+        let ops: u64 = sections.iter().map(|s| s.len() as u64).sum();
+        if ops == 0 {
             return Ok(());
         }
         let mut seq = self.applied_seq.lock();
-        if txn.start_seq() != *seq {
+        if sections[0].start_seq != *seq {
             return Err(EdgeError::OutOfOrder {
                 expected: *seq,
-                got: txn.start_seq(),
+                got: sections[0].start_seq,
             });
         }
-        // Resolve the served replicas up front; unserved tables replay
-        // as placeholders.
         let mut replicas: BTreeMap<&str, Arc<ServingReplica<S>>> = BTreeMap::new();
-        for section in &txn.sections {
-            if !replicas.contains_key(section.table.as_str()) {
-                if let Some(replica) = self.replica(&section.table) {
-                    replicas.insert(section.table.as_str(), replica);
-                }
-            }
-        }
-        let lock_txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
         let mut resources: Vec<Resource> = Vec::new();
-        {
-            let mut snaps: BTreeMap<&str, Arc<S::Store>> = BTreeMap::new();
-            for section in &txn.sections {
-                let Some(replica) = replicas.get(section.table.as_str()) else {
-                    continue;
+        for section in sections {
+            let table = section.table.as_str();
+            if !replicas.contains_key(table) {
+                match self.replica(table) {
+                    Some(replica) => replicas.insert(table, replica),
+                    None if foreign_ok => continue,
+                    None => return Err(EdgeError::UnknownTable(section.table.clone())),
                 };
-                let snap = snaps
-                    .entry(section.table.as_str())
-                    .or_insert_with(|| replica.snapshot());
-                for op in &section.ops {
-                    for target in self.scheme.lock_targets(snap, op) {
-                        resources.push((section.table.clone(), target));
-                    }
+            }
+            let snap = replicas[table].snapshot();
+            for op in &section.ops {
+                for target in self.scheme.lock_targets(&snap, op) {
+                    resources.push((section.table.clone(), target));
                 }
             }
         }
         resources.sort_unstable();
         resources.dedup();
+        let lock_txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
         self.acquire_with_retry(lock_txn, &resources, LockMode::Exclusive);
-        // Build every successor store aside; a table touched by several
-        // sections chains them on one working copy.
-        let result = (|| {
-            let mut successors: BTreeMap<&str, S::Store> = BTreeMap::new();
-            for section in &txn.sections {
-                let Some(replica) = replicas.get(section.table.as_str()) else {
-                    continue;
-                };
-                let store = successors
-                    .entry(section.table.as_str())
-                    .or_insert_with(|| (*replica.snapshot()).clone());
-                self.scheme
-                    .apply_delta_batch(store, &section.ops, &section.payloads, section.key_version)
-                    .map_err(EdgeError::Scheme)?;
-            }
-            Ok(successors)
-        })();
-        let successors = match result {
-            Ok(successors) => successors,
-            Err(e) => {
-                self.locks.release_all(lock_txn);
-                return Err(e);
-            }
-        };
-        // Every section replayed: swap all tables, then invalidate each
-        // touched table's cache exactly once.
+        let mut successors: BTreeMap<&str, S::Store> = BTreeMap::new();
+        let replayed = sections.iter().try_for_each(|section| {
+            let Some(replica) = replicas.get(section.table.as_str()) else {
+                return Ok(());
+            };
+            let store = successors
+                .entry(section.table.as_str())
+                .or_insert_with(|| (*replica.snapshot()).clone());
+            self.scheme.apply_delta_batch(
+                store,
+                &section.ops,
+                &section.payloads,
+                section.key_version,
+            )
+        });
+        if let Err(e) = replayed {
+            self.locks.release_all(lock_txn);
+            return Err(EdgeError::Scheme(e));
+        }
         for (table, store) in successors {
             let replica = &replicas[table];
             replica.publish(store);
@@ -735,26 +657,12 @@ impl<S: AuthScheme> EdgeService<S> {
             self.compact_cache.invalidate_table(table, floor);
         }
         self.locks.release_all(lock_txn);
-        *seq += txn.ops();
+        *seq += ops;
         drop(seq);
-        if let Some(stamp) = &txn.stamp {
+        if let Some(stamp) = stamp {
             self.set_freshness_stamp(stamp.clone());
         }
         Ok(())
-    }
-
-    /// Apply one subscription log entry — a single-op delta, a
-    /// group-committed batch, or an atomic multi-table txn — through
-    /// the matching replay path.
-    pub fn apply_log_entry(&self, entry: &LogEntry<S::Delta>) -> Result<(), EdgeError<S::Error>>
-    where
-        S::Store: Clone,
-    {
-        match entry {
-            LogEntry::Op(delta) => self.apply_delta(delta),
-            LogEntry::Batch(batch) => self.apply_delta_batch(batch),
-            LogEntry::Txn(txn) => self.apply_txn(txn),
-        }
     }
 }
 
@@ -780,6 +688,29 @@ mod tests {
         let svc = EdgeService::new(scheme);
         svc.install_table("items", table.schema().clone(), tree);
         (svc, signer)
+    }
+
+    /// A one-op `Delete(5)` batch at `start_seq`, signed by updating a
+    /// master copy of the served `items` table.
+    fn master_batch(
+        svc: &EdgeService<VbScheme<4>>,
+        signer: &MockSigner,
+        start_seq: u64,
+    ) -> DeltaBatch<<VbScheme<4> as AuthScheme>::Delta> {
+        let mut master = (*svc.snapshot("items").unwrap()).clone();
+        let ops = vec![UpdateOp::Delete(5)];
+        let payloads = svc
+            .scheme()
+            .update_batch(&mut master, &ops, signer)
+            .expect("master update");
+        DeltaBatch {
+            start_seq,
+            table: "items".into(),
+            ops,
+            payloads,
+            key_version: signer.key_version(),
+            stamp: None,
+        }
     }
 
     #[test]
@@ -815,21 +746,9 @@ mod tests {
         svc.query_range("other", &q).unwrap();
         assert_eq!(svc.cache.len(), 2);
 
-        // Produce a real signed delta by updating a master copy.
-        let mut master = (*svc.snapshot("items").unwrap()).clone();
-        let op = UpdateOp::Delete(5);
-        let payload = svc
-            .scheme()
-            .update(&mut master, &op, &signer)
-            .expect("master update");
-        let delta = SignedDelta {
-            seq: 0,
-            table: "items".into(),
-            op,
-            payload,
-            key_version: signer.key_version(),
-        };
-        svc.apply_delta(&delta).unwrap();
+        // Produce a real signed batch by updating a master copy.
+        svc.apply_delta_batch(&master_batch(&svc, &signer, 0))
+            .unwrap();
 
         // items' entry dropped, other's survived.
         assert_eq!(svc.cache.len(), 1);
@@ -842,18 +761,8 @@ mod tests {
     #[test]
     fn out_of_order_delta_rejected() {
         let (svc, signer) = service();
-        let mut master = (*svc.snapshot("items").unwrap()).clone();
-        let op = UpdateOp::Delete(5);
-        let payload = svc.scheme().update(&mut master, &op, &signer).unwrap();
-        let delta = SignedDelta {
-            seq: 3,
-            table: "items".into(),
-            op,
-            payload,
-            key_version: signer.key_version(),
-        };
         assert!(matches!(
-            svc.apply_delta(&delta),
+            svc.apply_delta_batch(&master_batch(&svc, &signer, 3)),
             Err(EdgeError::OutOfOrder {
                 expected: 0,
                 got: 3

@@ -74,17 +74,13 @@ impl<S: AuthScheme> ServingReplica<S> {
     /// publish on success. On error nothing is published — readers keep
     /// the old snapshot and the failed successor is dropped.
     ///
-    /// The clone + swap is paid **per call**, not per op: the
-    /// group-commit path (`EdgeService::apply_delta_batch`) replays a
-    /// whole `DeltaBatch` inside one `mutate`, so `k` ops cost one
-    /// clone and one publish instead of `k` of each.
+    /// The clone + swap is paid **per call**, not per op: replaying a
+    /// whole `DeltaBatch` inside one `mutate` costs one clone and one
+    /// publish for `k` ops.
     pub fn update_with<E>(
         &self,
         mutate: impl FnOnce(&mut S::Store) -> Result<(), E>,
-    ) -> Result<(), E>
-    where
-        S::Store: Clone,
-    {
+    ) -> Result<(), E> {
         let _gate = self.write_gate.lock();
         let mut next = (**self.current.read()).clone();
         mutate(&mut next)?;

@@ -14,7 +14,7 @@ use vbx_crypto::signer::{MockSigner, Signer};
 use vbx_crypto::Acc256;
 use vbx_edge::{
     ClusterConfig, ClusterCoordinator, ClusterError, DeltaLog, KeyFreshnessPolicy, SchemeClient,
-    SignedDelta, UpdateOp,
+    UpdateOp,
 };
 use vbx_storage::workload::WorkloadSpec;
 use vbx_storage::{Schema, Tuple, Value};
@@ -285,7 +285,6 @@ fn scatter_gather_serves_multi_table_joins() {
 fn detected_via_cluster<S>(scheme: S, mode: TamperMode) -> bool
 where
     S: AuthScheme + Clone,
-    S::Store: Clone,
 {
     let signer = Arc::new(MockSigner::with_version(77, 1));
     let mut c = ClusterCoordinator::new(
@@ -370,21 +369,11 @@ fn tamper_matrix_holds_through_the_coordinator() {
 // DeltaLog: bounded retention + cursors
 // ---------------------------------------------------------------------
 
-fn unit_delta(seq: u64) -> SignedDelta<()> {
-    SignedDelta {
-        seq,
-        table: "t".into(),
-        op: UpdateOp::Delete(seq),
-        payload: (),
-        key_version: 1,
-    }
-}
-
 #[test]
 fn delta_log_retention_evicts_and_reports_truncation() {
     let mut log: DeltaLog<()> = DeltaLog::new(3);
     for seq in 0..5 {
-        log.push(unit_delta(seq)).unwrap();
+        log.push_batch(unit_batch(seq, 1)).unwrap();
     }
     assert_eq!(log.len(), 3);
     assert_eq!(log.oldest_seq(), 2);
@@ -413,17 +402,17 @@ fn delta_log_retention_evicts_and_reports_truncation() {
 #[test]
 fn delta_log_rejects_gaps() {
     // Non-contiguous appends are a structured error, not a panic: the
-    // recovery path replays WAL records through `push`/`push_batch` and
+    // recovery path replays WAL records through the same append and
     // must surface a gap as corruption instead of aborting the process.
     let mut log: DeltaLog<()> = DeltaLog::new(8);
-    log.push(unit_delta(0)).unwrap();
-    assert_eq!(
-        log.push(unit_delta(2)),
+    log.push_batch(unit_batch(0, 1)).unwrap();
+    assert!(matches!(
+        log.push_batch(unit_batch(2, 1)),
         Err(vbx_edge::DeltaLogError::NonContiguous {
             expected: 1,
             got: 2
         })
-    );
+    ));
     // A rejected push leaves the log untouched…
     assert_eq!(log.next_seq(), 1);
     // …and the same holds for batches: gaps and empties are rejected.
@@ -438,7 +427,7 @@ fn delta_log_rejects_gaps() {
         log.push_batch(unit_batch(1, 0)),
         Err(vbx_edge::DeltaLogError::EmptyBatch)
     ));
-    log.push(unit_delta(1)).unwrap();
+    log.push_batch(unit_batch(1, 1)).unwrap();
     assert_eq!(log.next_seq(), 2);
 }
 
@@ -460,8 +449,8 @@ fn delta_log_batches_occupy_ranges_and_evict_as_units() {
     // they arrived as).
     let mut log: DeltaLog<()> = DeltaLog::new(4);
     log.push_batch(unit_batch(0, 3)).unwrap();
-    log.push(unit_delta(3)).unwrap();
-    log.push(unit_delta(4)).unwrap();
+    log.push_batch(unit_batch(3, 1)).unwrap();
+    log.push_batch(unit_batch(4, 1)).unwrap();
     assert_eq!(log.len(), 2);
     assert_eq!(log.oldest_seq(), 3);
     assert_eq!(log.next_seq(), 5);
@@ -487,7 +476,7 @@ fn delta_log_batches_occupy_ranges_and_evict_as_units() {
     log.push_batch(unit_batch(0, 5)).unwrap();
     assert_eq!(log.len(), 5);
     assert_eq!(log.next_seq(), 5);
-    log.push(unit_delta(5)).unwrap();
+    log.push_batch(unit_batch(5, 1)).unwrap();
     assert_eq!(log.oldest_seq(), 5, "oversized batch evicted as a unit");
 }
 

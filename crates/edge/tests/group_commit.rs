@@ -10,17 +10,18 @@
 use std::sync::Arc;
 use vbx_baselines::{MerkleScheme, NaiveScheme};
 use vbx_core::{
-    decode_delta_batch, encode_delta_batch, encode_tree, AuthScheme, FreshnessPolicy, RangeQuery,
-    VbScheme, VbTreeConfig, VerifyError,
+    decode_delta_batch, encode_delta_batch, encode_tree, AuthScheme, DurableScheme,
+    FreshnessPolicy, RangeQuery, VbScheme, VbTreeConfig, VerifyError,
 };
 use vbx_crypto::signer::MockSigner;
 use vbx_crypto::Acc256;
 use vbx_edge::{
-    CentralServer, ClusterConfig, ClusterCoordinator, EdgeServer, GroupCommitConfig,
-    KeyFreshnessPolicy, SchemeClient, SchemeClientError, UpdateOp,
+    CentralServer, ClusterConfig, ClusterCoordinator, DurabilityConfig, EdgeServer,
+    GroupCommitConfig, KeyFreshnessPolicy, SchemeClient, SchemeClientError, UpdateOp,
 };
+use vbx_storage::wal::WAL_FILE;
 use vbx_storage::workload::WorkloadSpec;
-use vbx_storage::{Schema, Table, Tuple, Value};
+use vbx_storage::{MemVfs, Schema, Table, Tuple, Value, Vfs};
 
 fn fresh_tuple(schema: &Schema, key: u64) -> Tuple {
     Tuple::new(
@@ -65,7 +66,7 @@ fn batched_commit_applies_at_the_edge_identically_to_per_op() {
     let schema = table.schema().clone();
     let ops = mixed_ops(&schema, 9);
 
-    // Per-op reference pipeline.
+    // Per-op reference pipeline: every op commits as a batch of one.
     let mut per_op = CentralServer::new(acc.clone(), signer.clone(), VbTreeConfig::with_fanout(6));
     per_op.create_table(table.clone());
     let per_op_edge = EdgeServer::from_bundle(per_op.bundle());
@@ -76,7 +77,9 @@ fn batched_commit_applies_at_the_edge_identically_to_per_op() {
             UpdateOp::DeleteRange(lo, hi) => per_op.delete_range("items", lo, hi),
         }
         .expect("per-op commit");
-        per_op_edge.apply_delta(&delta).expect("per-op replay");
+        per_op_edge
+            .apply_delta_batch(&delta)
+            .expect("per-op replay");
     }
 
     // Group-commit pipeline: one batch, one edge apply.
@@ -211,9 +214,9 @@ fn batch_out_of_order_and_empty_batches() {
 
 #[test]
 fn failed_baseline_batch_restores_store_and_catalog() {
-    // The plain per-op loop is not atomic on its own: the baselines
-    // override `update_batch` with `update_batch_atomic` so a failing
-    // op restores the pre-batch store — otherwise the never-logged
+    // The baselines use the trait's default per-op `update_batch` loop,
+    // which snapshots the store so a failing op restores the pre-batch
+    // store — otherwise the never-logged
     // prefix would silently diverge the central store from its catalog
     // and every replica.
     let signer = Arc::new(MockSigner::with_version(0x76, 1));
@@ -410,14 +413,11 @@ fn failed_multi_table_flush_drops_the_whole_txn() {
     central
         .enqueue_update("items", UpdateOp::Delete(7))
         .unwrap();
+    // A failed flush is a plain `CentralError`: it has no way to carry
+    // stray committed batches.
     let err = central.flush_group_commit().unwrap_err();
-    assert!(
-        err.committed.is_empty(),
-        "a grouped flush commits all-or-nothing, got {} stray batches",
-        err.committed.len()
-    );
     assert!(matches!(
-        err.error,
+        err,
         vbx_edge::CentralError::UnknownTable(ref t) if t == "ghost"
     ));
     assert_eq!(central.delta_log().next_seq(), 0, "nothing may be logged");
@@ -535,7 +535,6 @@ fn cluster_fans_a_batch_out_as_one_envelope() {
 fn baseline_staleness_detected<S>(scheme: S, table: Table)
 where
     S: AuthScheme + Clone,
-    S::Store: Clone,
 {
     let signer = Arc::new(MockSigner::with_version(0x73, 1));
     let mut c = ClusterCoordinator::new(
@@ -624,4 +623,145 @@ fn vb_scheme_staleness_detected_via_generic_client() {
         VbScheme::<4>::new(Acc256::test_default(), VbTreeConfig::with_fanout(6)),
         table,
     );
+}
+
+// ---------------------------------------------------------------------
+// Failed commits change nothing
+// ---------------------------------------------------------------------
+
+/// Everything a failed commit must leave untouched: the full
+/// recoverable state, the owner position, and the WAL.
+fn durable_fingerprint<S: DurableScheme>(
+    central: &CentralServer<S>,
+    vfs: &MemVfs,
+) -> (Vec<u8>, (u64, u64), usize) {
+    let wal = vfs.read(WAL_FILE).unwrap().map_or(0, |b| b.len());
+    (central.encode_state(), central.owner_position(), wal)
+}
+
+fn failed_commits_change_nothing<S: DurableScheme>(scheme: S) {
+    let vfs = Arc::new(MemVfs::new());
+    let config = DurabilityConfig {
+        checkpoint_every: 0,
+        ..DurabilityConfig::default()
+    };
+    let mut central = CentralServer::with_scheme(scheme, Arc::new(MockSigner::new(0x7A)))
+        .with_delta_retention(64)
+        .with_durability(vfs.clone(), config)
+        .expect("durability init");
+    central.create_table(items_table(20));
+    central.create_table(
+        WorkloadSpec {
+            table: "other".into(),
+            ..WorkloadSpec::new(20, 3, 8)
+        }
+        .build(),
+    );
+    let schema = central.schema("items").unwrap().clone();
+    // One good commit of each shape, so the WAL and log are not empty.
+    central.insert("items", fresh_tuple(&schema, 900)).unwrap();
+    let mut txn = central.begin_txn();
+    txn.stage("items", UpdateOp::Insert(fresh_tuple(&schema, 901)))
+        .stage("other", UpdateOp::Delete(1));
+    central.commit_txn(txn).unwrap();
+
+    let before = durable_fingerprint(&central, &vfs);
+    let check = |label: &str, central: &CentralServer<S>, failed: bool| {
+        assert!(failed, "{} {label}: the commit must fail", S::NAME);
+        assert!(
+            durable_fingerprint(central, &vfs) == before,
+            "{} {label}: a failed commit changed the state, position or WAL",
+            S::NAME
+        );
+    };
+
+    let failed = central.insert("ghost", fresh_tuple(&schema, 1)).is_err();
+    check("unknown table", &central, failed);
+    let failed = central.insert("items", fresh_tuple(&schema, 900)).is_err();
+    check("duplicate-key insert", &central, failed);
+    let failed = central.delete("items", 999_999).is_err();
+    check("delete of a missing key", &central, failed);
+
+    // Multi-table txns whose last section fails: once on a table an
+    // earlier section already swept, once on a table only it touches.
+    let mut txn = central.begin_txn();
+    txn.stage("items", UpdateOp::Insert(fresh_tuple(&schema, 902)))
+        .stage("other", UpdateOp::Delete(2))
+        .stage("items", UpdateOp::Delete(999_999));
+    let failed = central.commit_txn(txn).is_err();
+    check("txn failing in a repeated table", &central, failed);
+    let mut txn = central.begin_txn();
+    txn.stage("items", UpdateOp::Insert(fresh_tuple(&schema, 903)))
+        .stage("items", UpdateOp::Delete(3))
+        .stage("other", UpdateOp::Delete(999_999));
+    let failed = central.commit_txn(txn).is_err();
+    check("txn failing in its last table", &central, failed);
+
+    // The untouched central still commits, at the unchanged position.
+    let batch = central
+        .delete("items", 3)
+        .expect("clean commit after failures");
+    assert_eq!(batch.start_seq, before.1 .0);
+}
+
+#[test]
+fn failed_commits_change_nothing_vb() {
+    failed_commits_change_nothing(VbScheme::<4>::new(
+        Acc256::test_default(),
+        VbTreeConfig::with_fanout(6),
+    ));
+}
+
+#[test]
+fn failed_commits_change_nothing_naive() {
+    failed_commits_change_nothing(NaiveScheme::<4>::new(Acc256::test_default()));
+}
+
+#[test]
+fn failed_commits_change_nothing_merkle() {
+    failed_commits_change_nothing(MerkleScheme);
+}
+
+#[test]
+fn drop_table_takes_its_join_views_along() {
+    // Regression: dropping one side of a join view left the view
+    // behind, so every later commit on the other side failed in the
+    // view refresh *after* changing that table's store and catalog —
+    // diverging the central from its log, its WAL and every edge.
+    let vfs = Arc::new(MemVfs::new());
+    let signer = Arc::new(MockSigner::with_version(0x7B, 1));
+    let scheme = VbScheme::<4>::new(Acc256::test_default(), VbTreeConfig::with_fanout(6));
+    let config = DurabilityConfig::default();
+    let mut central = CentralServer::with_scheme(scheme.clone(), signer.clone())
+        .with_durability(vfs.clone(), config)
+        .expect("durability init");
+    for (table, seed) in [("orders", 7), ("parts", 4242)] {
+        central.create_table(
+            WorkloadSpec {
+                table: table.into(),
+                seed,
+                ..WorkloadSpec::new(25, 3, 8)
+            }
+            .build(),
+        );
+    }
+    let view = central
+        .materialize_join("orders", "parts", "a2", "a2")
+        .unwrap();
+
+    assert!(central.drop_table("parts"));
+    assert!(central.views().is_empty(), "the view went with its table");
+    assert!(central.store(&view).is_none(), "and so did its store");
+
+    let edge = EdgeServer::from_bundle(central.bundle());
+    let batch = central
+        .execute_update_batch("orders", vec![UpdateOp::Delete(0)])
+        .expect("the surviving table still commits");
+    assert_eq!(central.owner_position(), (1, 1));
+    edge.apply_delta_batch(&batch).unwrap();
+    assert!(edge.tree("orders").unwrap().get(0).is_none());
+
+    // The drop and the commit are both durable.
+    let recovered = CentralServer::recover(scheme, signer, vfs, config).expect("recovery");
+    assert!(recovered.encode_state() == central.encode_state());
 }

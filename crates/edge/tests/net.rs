@@ -107,7 +107,7 @@ fn run_script(transport: &dyn Transport, central_addr: &str, edge_addr: &str) ->
     });
     feed.subscribe(edge.applied_seq()).expect("subscribe");
     let applied = replicate_once(&mut feed, &edge, 64).expect("replicate");
-    assert_eq!(applied, 2, "one DeltaOp frame per committed op");
+    assert_eq!(applied, 2, "one DeltaBatch frame per committed op");
     sync_stamp(&mut feed, &edge).expect("stamp after replication");
     let bytes = reader.query_range("t0", &q).expect("post-update query");
     t.push(("q2.verdict".into(), verify(&bytes, owner(&central_ep))));

@@ -97,10 +97,7 @@ fn script() -> Vec<Step> {
 fn run_step<S: DurableScheme>(
     central: &mut CentralServer<S>,
     step: &Step,
-) -> Result<(), CentralError<S::Error>>
-where
-    S::Store: Clone,
-{
+) -> Result<(), CentralError<S::Error>> {
     let schema = central.schema(TABLE).expect("table exists").clone();
     match step {
         Step::Insert(k) => central.insert(TABLE, tuple(&schema, *k)).map(drop),
@@ -192,10 +189,7 @@ fn matrix_points() -> Vec<FailPoint> {
 /// Run one crash case: execute the script with `point` armed at step
 /// `arm_at`, crash, recover from the surviving image, and check the
 /// recovered state against a never-crashed control.
-fn run_case<S: DurableScheme + Clone>(scheme: S, label: &str, arm_at: usize, point: &FailPoint)
-where
-    S::Store: Clone,
-{
+fn run_case<S: DurableScheme + Clone>(scheme: S, label: &str, arm_at: usize, point: &FailPoint) {
     let ctx = format!("[{label} {point:?} arm@{arm_at}]");
     let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(7));
     let fps = Arc::new(FailpointFs::new());
@@ -299,10 +293,7 @@ where
     );
 }
 
-fn crash_matrix<S: DurableScheme + Clone>(scheme: S, label: &str)
-where
-    S::Store: Clone,
-{
+fn crash_matrix<S: DurableScheme + Clone>(scheme: S, label: &str) {
     // Arm points cover plain ops (0, 3, 7) and both txn steps (9, 12),
     // so every fault fires at least once inside a `CommitTxn` append.
     for point in &matrix_points() {

@@ -61,10 +61,7 @@ fn tuple(schema: &Schema, key: u64) -> Tuple {
 
 /// Apply one op; `Ok(false)` means the central rejected it (duplicate
 /// key, missing key, duplicate inside a batch) and committed nothing.
-fn apply<S: DurableScheme>(central: &mut CentralServer<S>, op: &Op) -> bool
-where
-    S::Store: Clone,
-{
+fn apply<S: DurableScheme>(central: &mut CentralServer<S>, op: &Op) -> bool {
     let schema = central.schema(TABLE).expect("table exists").clone();
     match op {
         Op::Insert(k) => central.insert(TABLE, tuple(&schema, *k)).is_ok(),
@@ -98,10 +95,7 @@ where
     }
 }
 
-fn check_scheme<S: DurableScheme + Clone>(scheme: S, ops: &[Op], checkpoint_every: u64)
-where
-    S::Store: Clone,
-{
+fn check_scheme<S: DurableScheme + Clone>(scheme: S, ops: &[Op], checkpoint_every: u64) {
     let signer: Arc<dyn Signer> = Arc::new(MockSigner::new(23));
     let config = DurabilityConfig {
         checkpoint_every,

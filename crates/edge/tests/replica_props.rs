@@ -75,7 +75,7 @@ proptest! {
                 Op::DeleteRange(lo, hi) => central.delete_range("items", *lo, *hi).unwrap(),
             };
             // Edge A applies immediately; edge B lags and catches up below.
-            edge_a.apply_delta(&delta).unwrap();
+            edge_a.apply_delta_batch(&delta).unwrap();
             applied += 1;
         }
 

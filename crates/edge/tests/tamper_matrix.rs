@@ -35,7 +35,6 @@ const VICTIM: u64 = 20;
 fn detected<S>(scheme: S, mode: TamperMode) -> bool
 where
     S: AuthScheme + Clone,
-    S::Store: Clone,
 {
     let table = WorkloadSpec::new(ROWS, 4, 10).build();
     let name = table.schema().table.clone();
@@ -68,7 +67,7 @@ where
     )
     .unwrap();
     let delta = central.insert(&name, tuple).unwrap();
-    edge.apply_delta(&delta).unwrap();
+    edge.apply_delta_batch(&delta).unwrap();
 
     edge.set_tamper(mode);
     let query = RangeQuery::select_all(5, 45);

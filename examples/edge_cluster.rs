@@ -29,8 +29,9 @@ fn main() {
     println!("cluster: central + {} edges", edges.len());
 
     // ------------------------------------------------------------------
-    // Live updates: the central server executes them under path locks
-    // and ships signed deltas; replicas replay them without any key.
+    // Live updates: the central server commits each one as a batch of
+    // one and ships the signed delta; replicas replay it without any key
+    // under the Section 3.4 path locks.
     // ------------------------------------------------------------------
     let schema = central.tree("sensors").unwrap().schema().clone();
     for k in 10_000..10_020u64 {
@@ -48,16 +49,16 @@ fn main() {
         .unwrap();
         let delta = central.insert("sensors", tuple).unwrap();
         for e in &mut edges {
-            e.apply_delta(&delta).unwrap();
+            e.apply_delta_batch(&delta).unwrap();
         }
     }
     let delta = central.delete_range("sensors", 100, 149).unwrap();
     for e in &mut edges {
-        e.apply_delta(&delta).unwrap();
+        e.apply_delta_batch(&delta).unwrap();
     }
     println!(
-        "updates: 20 inserts + one 50-row range delete propagated; lock stats: {:?}",
-        central.lock_stats()
+        "updates: 20 inserts + one 50-row range delete propagated; edge 0 lock stats: {:?}",
+        edges[0].service().lock_stats()
     );
 
     // Every replica is digest-identical to the master.

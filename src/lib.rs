@@ -62,9 +62,9 @@ pub mod prelude {
     pub use vbx_analysis::Params;
     pub use vbx_baselines::{MerkleAuthStore, MerkleScheme, NaiveAuthStore, NaiveScheme};
     pub use vbx_core::{
-        execute, AuthScheme, ClientVerifier, CostMeter, FreshnessPolicy, FreshnessStamp,
-        QueryResponse, RangeQuery, ResponseFreshness, SignedDelta, TamperMode, UpdateOp, VbScheme,
-        VbTree, VbTreeConfig, VerifiedBatch, VerifyError,
+        execute, AuthScheme, ClientVerifier, CostMeter, DeltaBatch, FreshnessPolicy,
+        FreshnessStamp, QueryResponse, RangeQuery, ResponseFreshness, TamperMode, UpdateOp,
+        VbScheme, VbTree, VbTreeConfig, VerifiedBatch, VerifyError,
     };
     pub use vbx_crypto::signer::{MockSigner, SigVerifier, Signer};
     pub use vbx_crypto::{rsa, Acc256, Accumulator, KeyRegistry};
